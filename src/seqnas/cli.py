@@ -201,18 +201,20 @@ def cmd_train(args):
     except OSError as exc:
         raise D.DataError(f"cannot read genotype {args.genotype}: {exc}") from exc
 
-    base = TrainConfig().to_dict()
+    base = {**TrainConfig().to_dict(), "init_channels": 8}
     resolved = _resolve(base, file_cfg.get("train", {}), {
         "epochs": args.epochs,
         "drop_path_p": args.drop_path,
         "seed": args.seed,
+        "init_channels": args.init_channels,
     })
+    init_channels = resolved.pop("init_channels")
     config = TrainConfig(**resolved)
 
     sup_cfg = SupernetConfig(
         num_cells=len(genotype.cells),
         layout=tuple(c.kind for c in genotype.cells),
-        init_channels=args.init_channels or 8,
+        init_channels=init_channels,
         num_classes=dataset.num_classes,
         input_channels=dataset.windows.shape[1],
         independent_alpha=True,
@@ -221,8 +223,8 @@ def cmd_train(args):
     out = args.out
     write_manifest(
         out, "train",
-        {"train": config.to_dict(), "data": data_desc,
-         "genotype_file": os.path.abspath(args.genotype)},
+        {"train": {**config.to_dict(), "init_channels": init_channels},
+         "data": data_desc, "genotype_file": os.path.abspath(args.genotype)},
         {"data": input_hash, "genotype": _sha256_file(args.genotype)},
         {"weights": "weights.json", "log": "log.csv"},
         config.seed,
@@ -337,8 +339,10 @@ def cmd_ablate(args):
         )
         tcfg = TrainConfig(**train_resolved)
         net = instantiate_discrete(genotype, sup_cfg, seed=tcfg.seed)
-        history = train_final(net, dataset, tcfg, out_dir=tier_dir)
-        save_trained(os.path.join(tier_dir, "weights.json"),
+        # training gets its own directory so the search's log.csv survives
+        train_dir = os.path.join(tier_dir, "train")
+        history = train_final(net, dataset, tcfg, out_dir=train_dir)
+        save_trained(os.path.join(train_dir, "weights.json"),
                      net, genotype, tcfg, history)
         _, report = _evaluate(net, dataset, EVAL_BATCH_DEFAULT)
         with open(os.path.join(tier_dir, "metrics.json"), "w") as fh:

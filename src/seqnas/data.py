@@ -120,16 +120,23 @@ def _ingest(fh, schema):
 
     groups = {}
     order = []
-    for row in reader:
-        if not row:
-            continue
-        key = (row[idx[schema.subject_col]], int(row[idx[schema.session_col]]))
-        if key not in groups:
-            groups[key] = {c: [] for c in channel_cols}
-            order.append(key)
-        for c in channel_cols:
-            cell = row[idx[c]].strip()
-            groups[key][c].append(float(cell) if cell not in ("", "nan", "NaN") else np.nan)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            c = schema.subject_col
+            subject = row[idx[c]]
+            c = schema.session_col
+            key = (subject, int(row[idx[c]]))
+            if key not in groups:
+                groups[key] = {name: [] for name in channel_cols}
+                order.append(key)
+            for c in channel_cols:
+                cell = row[idx[c]].strip()
+                groups[key][c].append(float(cell) if cell not in ("", "nan", "NaN") else np.nan)
+    except (ValueError, IndexError) as exc:
+        problem = "row is too short" if isinstance(exc, IndexError) else exc
+        raise DataError(f"line {reader.line_num}, column {c!r}: {problem}") from None
     if not groups:
         raise DataError("empty file: no data rows")
 

@@ -9,6 +9,7 @@ only: any strictly increasing transform of the scores leaves them
 unchanged.
 """
 
+import csv
 import warnings
 from dataclasses import dataclass
 
@@ -47,24 +48,38 @@ def det_curve(scores: ScoreSet):
 
     Acceptance means score >= threshold.  FAR is nonincreasing and FRR
     nondecreasing in the threshold; the endpoints (-inf, +inf) pin the
-    curve at (1, 0) and (0, 1).
+    curve at (1, 0) and (0, 1).  Each pile is sorted once and counted at
+    every distinct score by one binary search.
     """
     scores.require_nonempty()
     gen = np.sort(scores.genuine)
     imp = np.sort(scores.impostor)
     uniq = np.unique(np.concatenate([gen, imp]))
-    thresholds = np.concatenate(([-np.inf], uniq, [np.inf]))
-    far = np.empty(len(thresholds))
-    frr = np.empty(len(thresholds))
-    for i, thr in enumerate(thresholds):
-        if np.isneginf(thr):
-            far[i], frr[i] = 1.0, 0.0
-        elif np.isposinf(thr):
-            far[i], frr[i] = 0.0, 1.0
-        else:
-            far[i] = (imp.size - np.searchsorted(imp, thr, side="left")) / imp.size
-            frr[i] = np.searchsorted(gen, thr, side="left") / gen.size
-    return thresholds, far, frr
+    far = (imp.size - np.searchsorted(imp, uniq, side="left")) / imp.size
+    frr = np.searchsorted(gen, uniq, side="left") / gen.size
+    return (np.concatenate(([-np.inf], uniq, [np.inf])),
+            np.concatenate(([1.0], far, [0.0])),
+            np.concatenate(([0.0], frr, [1.0])))
+
+
+def _eer(far, frr):
+    """FAR=FRR crossing of DET arrays; d = FAR - FRR runs from +1 to -1."""
+    d = far - frr
+    i = int(np.argmax(d <= 0))
+    if d[i] == 0:
+        return float(far[i])
+    s = d[i - 1] / (d[i - 1] - d[i])
+    return float(far[i - 1] + s * (far[i] - far[i - 1]))
+
+
+def _frr_at_far(far, frr, n_impostor, far_target):
+    """(FRR at the first DET point with FAR <= target, under_resolved)."""
+    under_resolved = n_impostor < 1.0 / far_target
+    i = int(np.argmax(far <= far_target))
+    if far[i] == far_target or i == 0:
+        return float(frr[i]), under_resolved
+    u = (far[i - 1] - far_target) / (far[i - 1] - far[i])
+    return float(frr[i - 1] + u * (frr[i] - frr[i - 1])), under_resolved
 
 
 def compute_eer(scores: ScoreSet):
@@ -74,14 +89,7 @@ def compute_eer(scores: ScoreSet):
     the crossing depends only on the bracketing rate values.
     """
     _, far, frr = det_curve(scores)
-    d = far - frr  # nonincreasing, from +1 to -1
-    for i in range(len(d)):
-        if d[i] <= 0:
-            if d[i] == 0:
-                return float(far[i])
-            s = d[i - 1] / (d[i - 1] - d[i])
-            return float(far[i - 1] + s * (far[i] - far[i - 1]))
-    raise MetricError("DET curve has no FAR/FRR crossing")  # unreachable
+    return _eer(far, frr)
 
 
 def frr_at_far(scores: ScoreSet, far_target):
@@ -93,14 +101,7 @@ def frr_at_far(scores: ScoreSet, far_target):
     if not 0 < far_target < 1:
         raise MetricError(f"far_target must be in (0,1), got {far_target}")
     _, far, frr = det_curve(scores)
-    under_resolved = scores.impostor.size < 1.0 / far_target
-    for i in range(len(far)):
-        if far[i] <= far_target:
-            if far[i] == far_target or i == 0:
-                return float(frr[i]), under_resolved
-            u = (far[i - 1] - far_target) / (far[i - 1] - far[i])
-            return float(frr[i - 1] + u * (frr[i] - frr[i - 1])), under_resolved
-    raise MetricError("DET curve never reaches the target FAR")  # unreachable
+    return _frr_at_far(far, frr, scores.impostor.size, far_target)
 
 
 def embed(net, windows, batch_size=256):
@@ -161,27 +162,34 @@ FAR_TARGETS = ((1e-1, "1e-1"), (1e-2, "1e-2"), (1e-3, "1e-3"))
 
 def metrics_report(scores: ScoreSet):
     """The metrics document written by the evaluator (see schemas/)."""
+    _, far, frr = det_curve(scores)
     report = {
-        "eer": compute_eer(scores),
+        "eer": _eer(far, frr),
         "frr_at_far": {},
         "n_genuine": int(scores.genuine.size),
         "n_impostor": int(scores.impostor.size),
         "under_resolved": [],
     }
     for target, label in FAR_TARGETS:
-        value, flagged = frr_at_far(scores, target)
+        value, flagged = _frr_at_far(far, frr, scores.impostor.size, target)
         report["frr_at_far"][label] = value
         if flagged:
             report["under_resolved"].append(label)
     return report
 
 
-def write_det_csv(scores: ScoreSet, path):
-    import csv
+# rows converted to Python floats at a time: a whole-curve .tolist() would
+# hold three boxed floats per distinct score in memory at once
+_DET_CSV_ROWS = 8192
 
+
+def write_det_csv(scores: ScoreSet, path):
+    """det.csv: one row per DET point, floats written as repr(float)."""
     thresholds, far, frr = det_curve(scores)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("threshold", "far", "frr"))
-        for row in zip(thresholds, far, frr):
-            writer.writerow(row)
+        for i in range(0, len(thresholds), _DET_CSV_ROWS):
+            part = slice(i, i + _DET_CSV_ROWS)
+            writer.writerows(zip(thresholds[part].tolist(), far[part].tolist(),
+                                 frr[part].tolist()))

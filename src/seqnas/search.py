@@ -86,16 +86,29 @@ def _epoch_order(seed, epoch, n, stream):
 
 
 class RunLog:
-    """Appendable per-step CSV log with a monotone step counter."""
+    """Appendable per-step CSV log with a monotone step counter.
+
+    Opening a log keeps only the complete rows of an existing file whose
+    step is below first_step, so a run resumed into its own directory
+    rewrites the steps after its checkpoint instead of repeating them.
+    """
 
     COLUMNS = ("step", "epoch", "train_loss", "val_loss", "lr")
 
-    def __init__(self, path=None):
+    def __init__(self, path=None, first_step=0):
         self.path = path
         self.rows = []
-        if path and not os.path.exists(path):
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerow(self.COLUMNS)
+        if not path:
+            return
+        kept = []
+        if first_step > 0 and os.path.exists(path):
+            with open(path, newline="") as fh:
+                kept = [line for line in fh.readlines()[1:]
+                        if line.endswith("\n")
+                        and int(line.split(",", 1)[0]) < first_step]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(self.COLUMNS)
+            fh.writelines(kept)
 
     def append(self, step, epoch, train_loss, val_loss, lr):
         row = (step, epoch, train_loss, val_loss, lr)
@@ -162,7 +175,8 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
         os.makedirs(ckpt_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.json"), "w") as fh:
             json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None)
+    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None,
+                 first_step=state.step)
 
     net.train(True)
     n_train, n_val = len(train_split), len(val_split)

@@ -145,6 +145,38 @@ def test_eval_pipeline_metrics_and_det(tmp_path):
         (eval_out / "metrics.json").read_bytes()
 
 
+def test_eval_builds_det_at_most_twice(tmp_path, monkeypatch):
+    import seqnas.metrics as metrics
+
+    geno = _searched_genotype(tmp_path)
+    train_out = tmp_path / "train"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                    "--epochs", "1", "--seed", "5", "--out", train_out]) == 0
+    calls = []
+    det_curve = metrics.det_curve
+
+    def counted(scores):
+        calls.append(1)
+        return det_curve(scores)
+
+    monkeypatch.setattr(metrics, "det_curve", counted)
+    assert run_cli(["eval", *MICRO_DATA, "--weights", train_out / "weights.json",
+                    "--out", tmp_path / "eval"]) == 0
+    assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("rows, where", [
+    ("S0,1,0.5,abc\n", "line 3, column 'ch1'"),
+    ("S0,1,0.5\n", "line 3, column 'ch1'"),
+    ("S0,x,0.5,0.5\n", "line 3, column 'session'"),
+])
+def test_malformed_csv_cell_is_data_error(tmp_path, capsys, rows, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("subject,session,ch0,ch1\nS0,1,0.1,0.2\n" + rows)
+    assert run_cli(["search", "--data", bad, "--out", tmp_path / "s"]) == 3
+    assert where in capsys.readouterr().err
+
+
 def test_eval_checks_init_channels_against_checkpoint(tmp_path):
     geno = _searched_genotype(tmp_path)
     train_out = tmp_path / "train"
@@ -173,6 +205,24 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert resolved["seed"] == 2  # from flag
 
 
+def test_train_init_channels_from_config_file_and_flag(tmp_path):
+    geno = _searched_genotype(tmp_path)
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"train": {"init_channels": 4, "epochs": 0}}))
+    from seqnas.train import load_trained
+
+    for name, flags, width in (("file", [], 4),
+                               ("flag", ["--init-channels", "6"], 6)):
+        out = tmp_path / name
+        assert run_cli(["train", *MICRO_DATA, "--genotype", geno, "--config", cfg,
+                        *flags, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["init_channels"] == width
+        assert manifest["config"]["train"]["epochs"] == 0  # from config file
+        _, _, doc = load_trained(str(out / "weights.json"))
+        assert doc["config"]["supernet"]["init_channels"] == width
+
+
 def test_ablate_three_rows_and_reproducible(tmp_path):
     args = ["ablate", *MICRO_DATA, *MICRO_NET, "--seed", "4",
             "--search-epochs", "1", "--train-epochs", "1"]
@@ -191,3 +241,9 @@ def test_ablate_three_rows_and_reproducible(tmp_path):
 
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    for tier in ("darts", "alpha", "relax"):
+        log = (out1 / tier / "log.csv").read_text().splitlines()
+        assert log[0] == "step,epoch,train_loss,val_loss,lr"  # the search log survives
+        assert len(log) > 1
+        assert (out1 / tier / "train" / "log.csv").exists()

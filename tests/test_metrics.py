@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from seqnas.metrics import (FAR_TARGETS, MetricError, ScoreSet, compute_eer,
                             det_curve, embed, frr_at_far, metrics_report,
                             score_protocol, write_det_csv)
 from seqnas.network import SupernetConfig, instantiate_discrete
-from helpers import eer_oracle, frr_at_far_oracle
+from helpers import eer_oracle, frr_at_far_oracle, sweep_det_oracle
 
 rng = np.random.default_rng(53)
 
@@ -80,6 +81,40 @@ def test_metrics_agree_exactly_with_sweep_oracle(gen, imp, target):
     s = ScoreSet(genuine=g, impostor=i)
     assert compute_eer(s) == eer_oracle(g, i)
     assert frr_at_far(s, target)[0] == frr_at_far_oracle(g, i, target)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    gen=st.lists(st.integers(-6, 6), min_size=1, max_size=120),
+    imp=st.lists(st.integers(-6, 6), min_size=1, max_size=120),
+)
+def test_det_and_report_equal_sweep_oracle_on_heavy_ties(gen, imp):
+    # 13 possible values over up to 240 scores: nearly every threshold is tied
+    s = ScoreSet(genuine=gen, impostor=imp)
+    for got, want in zip(det_curve(s), sweep_det_oracle(gen, imp)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    report = metrics_report(s)
+    assert report["eer"] == eer_oracle(gen, imp)
+    for target, label in FAR_TARGETS:
+        assert report["frr_at_far"][label] == frr_at_far_oracle(gen, imp, target)
+        assert (label in report["under_resolved"]) == (len(imp) < 1.0 / target)
+
+
+def test_report_and_det_csv_bytes_pinned(tmp_path):
+    # hashes of the output written by the per-threshold loop this DET replaced
+    pin = np.random.default_rng(20240)
+    gen = np.round(pin.normal(0.55, 0.2, 1000), 3)
+    imp = np.concatenate([np.round(pin.normal(0.1, 0.2, 9500), 3),
+                          pin.normal(0.1, 0.2, 9500)])
+    s = ScoreSet(genuine=gen, impostor=imp)
+    text = json.dumps(metrics_report(s), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3d15ec1575d7313a80c9d294a2b0a4123c9e92a0ae8c3204ff7403f6060e4887"
+    path = tmp_path / "det.csv"
+    write_det_csv(s, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "d6aea5dc2de6a1774202511a033ff39f41e8e55167e9eee453b33c0301afde0d"
 
 
 @settings(deadline=None, max_examples=30)

@@ -107,6 +107,21 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     resumed_bytes = (tmp_path / "resumed" / "genotype.json").read_bytes()
     assert full_bytes == resumed_bytes
 
+    # resuming into the interrupted run's own directory drops the rows
+    # logged after the checkpoint instead of repeating them
+    with open(os.path.join(part_dir, "log.csv")) as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert int(last["step"]) == load_checkpoint(ckpt)["counters"]["step"]
+    with open(os.path.join(part_dir, "log.csv"), "a") as fh:
+        fh.write("1,0,0.")  # a row cut short by a kill mid-write
+    resume(ckpt, ds, out_dir=part_dir)
+    with open(os.path.join(part_dir, "log.csv")) as fh:
+        steps = [int(r["step"]) for r in csv.DictReader(fh)]
+    assert steps == list(range(len(steps)))
+    for name in ("log.csv", "genotype.json"):
+        assert (tmp_path / "full" / name).read_bytes() == \
+            (tmp_path / "part" / name).read_bytes(), name
+
 
 def test_resume_from_final_checkpoint_returns_immediately(tmp_path):
     ds = micro_dataset()
