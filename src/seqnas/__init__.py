@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .autograd import (Tensor, Tape, ShapeError, TapeError, backward,
                        no_grad, parameter, reset_tape, set_default_dtype,
                        using_dtype)
-from .cell import (CellSpec, Genotype, GenotypeError, derive_genotype,
+from .cell import (Genotype, GenotypeError, derive_genotype,
                    genotype_to_dot)
 from .network import (DiscreteNetwork, NetworkError, Supernet, SupernetConfig,
                       gate_coefficients, instantiate_discrete)

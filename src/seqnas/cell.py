@@ -24,21 +24,6 @@ EDGES = tuple(
 NUM_EDGES = len(EDGES)  # 14
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    kind: str  # "normal" | "reduction"
-    num_intermediate: int = NUM_INTERMEDIATE
-    edges: tuple = EDGES
-
-    def __post_init__(self):
-        if self.kind not in ("normal", "reduction"):
-            raise ValueError(f"cell kind must be normal|reduction, got {self.kind!r}")
-
-    @property
-    def reduction(self):
-        return self.kind == "reduction"
-
-
 class GenotypeError(ValueError):
     """Raised for malformed or inconsistent genotypes."""
 
@@ -136,6 +121,15 @@ class Genotype:
         return cls.from_json_dict(d)
 
 
+def gate_coefficients(beta, gate_scale=2.0):
+    """(g0, g1) = gate_scale * softmax(beta); they sum to gate_scale."""
+    b = np.asarray(beta.data if hasattr(beta, "data") else beta, dtype=np.float64)
+    z = b - b.max()
+    e = np.exp(z)
+    sm = e / e.sum()
+    return float(gate_scale * sm[0]), float(gate_scale * sm[1])
+
+
 def derive_genotype(alphas, gates, threshold, kinds, gate_scale=2.0, meta=None):
     """Extract the discrete architecture from learned weights.
 
@@ -181,11 +175,7 @@ def derive_genotype(alphas, gates, threshold, kinds, gate_scale=2.0, meta=None):
             coeff = (1.0, 1.0)
             pruned = (False, False)
         else:
-            b = np.asarray(beta.data if hasattr(beta, "data") else beta, dtype=np.float64)
-            zb = b - b.max()
-            eb = np.exp(zb)
-            sm = eb / eb.sum()
-            coeff = (float(gate_scale * sm[0]), float(gate_scale * sm[1]))
+            coeff = gate_coefficients(beta, gate_scale)
             # strict "< threshold" with a guard wide enough for float32
             # parameter storage, so exact-boundary coefficients
             # (e.g. beta = (ln 9, 0) -> 0.2) never prune
@@ -226,85 +216,21 @@ def genotype_to_dot(genotype):
     return "\n\n".join(blocks) + "\n"
 
 
-class SearchCell(Module):
-    """One relaxed cell: a MixedOp on each of the 14 edges.
+class _Cell(Module):
+    """Input preprocessing and the node DAG shared by search and discrete cells.
 
     Reduction cells apply stride 2 only on edges that originate at the two
     cell inputs.  Inputs are projected to the cell's working width first; if
     the cell two steps back was a reduction, s0 additionally gets halved in
-    time by a factorized reduction.
+    time by a factorized reduction.  Subclasses fill self.node_inputs with
+    one list of (from_node, edge) pairs per intermediate node.
     """
 
-    def __init__(self, c_pp, c_p, channels, reduction, reduction_prev, rng, dtype, tag=""):
+    def __init__(self, c_pp, c_p, channels, reduction, reduction_prev, rng, dtype,
+                 track_running, tag):
         super().__init__()
-        self.spec = CellSpec("reduction" if reduction else "normal")
-        self.channels = channels
-        if reduction_prev:
-            self.pre0 = self.add_child(
-                FactorizedReduce(c_pp, channels, rng, dtype, False, f"{tag}.pre0"))
-        else:
-            self.pre0 = self.add_child(
-                ReLUConvNorm(c_pp, channels, 1, 1, rng, dtype, False, f"{tag}.pre0"))
-        self.pre1 = self.add_child(
-            ReLUConvNorm(c_p, channels, 1, 1, rng, dtype, False, f"{tag}.pre1"))
-        self.mixed = []
-        for k, (frm, _to) in enumerate(EDGES):
-            stride = 2 if reduction and frm in (0, 1) else 1
-            self.mixed.append(self.add_child(
-                MixedOp(channels, stride, rng, dtype, tag=f"{tag}.edge{k}")))
-
-    def forward(self, s0, s1, alpha, mode="search", genotype_cell=None):
-        expect = (self.pre0.w1.shape[1] if isinstance(self.pre0, FactorizedReduce)
-                  else self.pre0.w.shape[1])
-        if s0.shape[1] != expect:
-            raise F.ShapeError(
-                f"cell: s0 has {s0.shape[1]} channels, preprocessing expects {expect}"
-            )
-        s0 = self.pre0.forward(s0)
-        s1 = self.pre1.forward(s1)
-        if s0.shape != s1.shape:
-            raise F.ShapeError(
-                f"cell: preprocessed inputs disagree, {s0.shape} vs {s1.shape}"
-            )
-        states = [s0, s1]
-        if mode == "search":
-            for j in range(NUM_INTERMEDIATE):
-                acc = None
-                for k, (frm, dst) in enumerate(EDGES):
-                    if dst != j + 2:
-                        continue
-                    contrib = self.mixed[k].forward(states[frm], F.take_row(alpha, k))
-                    acc = contrib if acc is None else F.add(acc, contrib)
-                states.append(acc)
-        elif mode == "discrete":
-            if genotype_cell is None:
-                raise ValueError("discrete mode requires a bound genotype cell")
-            edge_of = {(frm, dst): k for k, (frm, dst) in enumerate(EDGES)}
-            for j, entries in enumerate(genotype_cell.nodes):
-                acc = None
-                for op_name, frm in entries:
-                    k = edge_of[(frm, j + 2)]
-                    op = self.mixed[k].candidates[OP_VOCAB.index(op_name)]
-                    contrib = op.forward(states[frm])
-                    acc = contrib if acc is None else F.add(acc, contrib)
-                states.append(acc)
-        else:
-            raise ValueError(f"unknown cell mode {mode!r}")
-        return F.concat(states[2:], axis=1)
-
-
-class DiscreteCell(Module):
-    """A cell instantiated from a genotype entry, with fresh weights.
-
-    Edge outputs can be regularized (drop-path) via edge_regularizer; the
-    callable is skipped on identity edges.
-    """
-
-    def __init__(self, entry, c_pp, c_p, channels, reduction_prev, rng, dtype,
-                 track_running, tag=""):
-        super().__init__()
-        self.entry = entry
-        self.reduction = entry.kind == "reduction"
+        self.c_pp = c_pp
+        self.reduction = reduction
         if reduction_prev:
             self.pre0 = self.add_child(
                 FactorizedReduce(c_pp, channels, rng, dtype, track_running, f"{tag}.pre0"))
@@ -313,26 +239,74 @@ class DiscreteCell(Module):
                 ReLUConvNorm(c_pp, channels, 1, 1, rng, dtype, track_running, f"{tag}.pre0"))
         self.pre1 = self.add_child(
             ReLUConvNorm(c_p, channels, 1, 1, rng, dtype, track_running, f"{tag}.pre1"))
-        self.edge_ops = []
-        for j, entries in enumerate(entry.nodes):
-            ops = []
-            for ei, (op_name, frm) in enumerate(entries):
-                stride = 2 if self.reduction and frm in (0, 1) else 1
-                ops.append((frm, op_name, self.add_child(make_op(
-                    op_name, channels, stride, rng, dtype, track_running,
-                    tag=f"{tag}.n{j}e{ei}.{op_name}"))))
-            self.edge_ops.append(ops)
+        self.node_inputs = [[] for _ in range(NUM_INTERMEDIATE)]
 
-    def forward(self, s0, s1, edge_regularizer=None):
+    def _stride(self, frm):
+        return 2 if self.reduction and frm in (0, 1) else 1
+
+    def _run(self, s0, s1, edge_forward):
+        """Sum edge_forward(edge, state) over each node's inputs; concat n0..n3."""
+        if s0.shape[1] != self.c_pp:
+            raise F.ShapeError(
+                f"cell: s0 has {s0.shape[1]} channels, preprocessing expects {self.c_pp}"
+            )
         s0 = self.pre0.forward(s0)
         s1 = self.pre1.forward(s1)
+        if s0.shape != s1.shape:
+            raise F.ShapeError(
+                f"cell: preprocessed inputs disagree, {s0.shape} vs {s1.shape}"
+            )
         states = [s0, s1]
-        for ops in self.edge_ops:
+        for inputs in self.node_inputs:
             acc = None
-            for frm, op_name, op in ops:
-                contrib = op.forward(states[frm])
-                if edge_regularizer is not None and op_name != "skip_connect":
-                    contrib = edge_regularizer(contrib)
+            for frm, edge in inputs:
+                contrib = edge_forward(edge, states[frm])
                 acc = contrib if acc is None else F.add(acc, contrib)
             states.append(acc)
         return F.concat(states[2:], axis=1)
+
+
+class SearchCell(_Cell):
+    """One relaxed cell: a MixedOp on each of the 14 edges."""
+
+    def __init__(self, c_pp, c_p, channels, reduction, reduction_prev, rng, dtype, tag=""):
+        super().__init__(c_pp, c_p, channels, reduction, reduction_prev, rng, dtype,
+                         False, tag)
+        self.mixed = []
+        for k, (frm, dst) in enumerate(EDGES):
+            self.mixed.append(self.add_child(
+                MixedOp(channels, self._stride(frm), rng, dtype, tag=f"{tag}.edge{k}")))
+            self.node_inputs[dst - 2].append((frm, k))
+
+    def forward(self, s0, s1, alpha):
+        return self._run(s0, s1, lambda k, x: self.mixed[k].forward(x, F.take_row(alpha, k)))
+
+
+class DiscreteCell(_Cell):
+    """A cell instantiated from a genotype entry, with fresh weights.
+
+    Edge outputs can be regularized (drop-path) via edge_regularizer; the
+    callable is skipped on identity edges.
+    """
+
+    def __init__(self, entry, c_pp, c_p, channels, reduction_prev, rng, dtype,
+                 track_running, tag=""):
+        super().__init__(c_pp, c_p, channels, entry.kind == "reduction", reduction_prev,
+                         rng, dtype, track_running, tag)
+        self.entry = entry
+        for j, entries in enumerate(entry.nodes):
+            for ei, (op_name, frm) in enumerate(entries):
+                op = self.add_child(make_op(
+                    op_name, channels, self._stride(frm), rng, dtype, track_running,
+                    tag=f"{tag}.n{j}e{ei}.{op_name}"))
+                self.node_inputs[j].append((frm, (op_name, op)))
+
+    def forward(self, s0, s1, edge_regularizer=None):
+        def edge_forward(edge, x):
+            op_name, op = edge
+            out = op.forward(x)
+            if edge_regularizer is not None and op_name != "skip_connect":
+                out = edge_regularizer(out)
+            return out
+
+        return self._run(s0, s1, edge_forward)

@@ -21,12 +21,11 @@ from . import __version__
 from . import data as D
 from . import metrics as M
 from .cell import Genotype, GenotypeError
-from .network import DiscreteNetwork, NetworkError, SupernetConfig
+from .network import NetworkError, SupernetConfig, instantiate_discrete
 from .optim import NumericsError, OptimizerConfig
 from .search import SearchRunConfig, run_search
 from .serialize import CheckpointError
 from .train import TrainConfig, load_trained, save_trained, train_final
-from .network import instantiate_discrete
 
 DATA_DEFAULTS = {
     "synth_subjects": 20,
@@ -65,24 +64,54 @@ def _sha256_file(path):
 
 def _resolve(defaults, file_cfg, flags):
     """defaults < config file < explicitly passed flags (non-None)."""
-    out = dict(defaults)
-    for k, v in (file_cfg or {}).items():
-        if k in out:
-            out[k] = v
-    for k, v in flags.items():
-        if k in out and v is not None:
-            out[k] = v
-    return out
+    return {**defaults, **file_cfg, **{k: v for k, v in flags.items() if v is not None}}
+
+
+def _check_keys(path, known, given, where=""):
+    """Reject any key of given that known lacks, recursing into dict-valued keys."""
+    if not isinstance(given, dict):
+        raise D.DataError(f"config file {path}: {where or 'top level'} must be an object")
+    for k, v in given.items():
+        name = f"{where}.{k}" if where else k
+        if k not in known:
+            raise D.DataError(f"config file {path}: unknown key {name!r}")
+        if isinstance(known[k], dict):
+            _check_keys(path, known[k], v, name)
 
 
 def _load_config_file(path):
+    """The config file's sections; unknown sections and keys are data errors."""
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise D.DataError(f"cannot read config file {path}: {exc}") from exc
+    _check_keys(path, {"data": DATA_DEFAULTS, "search": SearchRunConfig().to_dict(),
+                       "train": {**TrainConfig().to_dict(), "init_channels": None}}, doc)
+    return doc
+
+
+def _train_config(file_cfg, flags, default_width):
+    """(TrainConfig, network width): flags > config file `train` > defaults."""
+    resolved = _resolve({**TrainConfig().to_dict(), "init_channels": default_width},
+                        file_cfg.get("train", {}), flags)
+    width = resolved.pop("init_channels")
+    return TrainConfig(**resolved), width
+
+
+def _discrete_network(genotype, dataset, width, seed):
+    """A freshly initialised network holding the genotype's kept ops, sized to the data."""
+    return instantiate_discrete(genotype, SupernetConfig(
+        num_cells=len(genotype.cells),
+        layout=tuple(c.kind for c in genotype.cells),
+        init_channels=width,
+        num_classes=dataset.num_classes,
+        input_channels=dataset.windows.shape[1],
+        independent_alpha=True,
+        use_gates=False,
+    ), seed=seed)
 
 
 def _data_flags(parser):
@@ -201,25 +230,12 @@ def cmd_train(args):
     except OSError as exc:
         raise D.DataError(f"cannot read genotype {args.genotype}: {exc}") from exc
 
-    base = {**TrainConfig().to_dict(), "init_channels": 8}
-    resolved = _resolve(base, file_cfg.get("train", {}), {
+    config, init_channels = _train_config(file_cfg, {
         "epochs": args.epochs,
         "drop_path_p": args.drop_path,
         "seed": args.seed,
         "init_channels": args.init_channels,
-    })
-    init_channels = resolved.pop("init_channels")
-    config = TrainConfig(**resolved)
-
-    sup_cfg = SupernetConfig(
-        num_cells=len(genotype.cells),
-        layout=tuple(c.kind for c in genotype.cells),
-        init_channels=init_channels,
-        num_classes=dataset.num_classes,
-        input_channels=dataset.windows.shape[1],
-        independent_alpha=True,
-        use_gates=False,
-    )
+    }, 8)
     out = args.out
     write_manifest(
         out, "train",
@@ -229,7 +245,7 @@ def cmd_train(args):
         {"weights": "weights.json", "log": "log.csv"},
         config.seed,
     )
-    net = instantiate_discrete(genotype, sup_cfg, seed=config.seed)
+    net = _discrete_network(genotype, dataset, init_channels, config.seed)
     history = train_final(net, dataset, config, out_dir=out)
     save_trained(os.path.join(out, "weights.json"), net, genotype, config, history)
     final = history[-1]["accuracy"] if history else None
@@ -300,16 +316,18 @@ def cmd_ablate(args):
 
     search_base = _search_config(args, file_cfg).to_dict()
     search_base["epochs"] = args.search_epochs or search_base["epochs"]
-    train_resolved = _resolve(TrainConfig().to_dict(), file_cfg.get("train", {}), {
+    # --init-channels sets the search width; training defaults to it
+    tcfg, train_width = _train_config(file_cfg, {
         "epochs": args.train_epochs,
         "drop_path_p": args.drop_path,
         "seed": args.seed,
-    })
+    }, search_base["init_channels"])
 
     out = args.out
     write_manifest(
         out, "ablate",
-        {"search": search_base, "train": train_resolved, "data": data_desc},
+        {"search": search_base, "train": {**tcfg.to_dict(), "init_channels": train_width},
+         "data": data_desc},
         {"data": input_hash},
         {"report": "report.txt", "report_json": "report.json"},
         seed,
@@ -328,17 +346,7 @@ def cmd_ablate(args):
 
         split_hashes[tier] = load_checkpoint(ckpt)["extra"]["split_hash"]
 
-        sup_cfg = SupernetConfig(
-            num_cells=config.num_cells,
-            layout=config.layout,
-            init_channels=config.init_channels,
-            num_classes=dataset.num_classes,
-            input_channels=dataset.windows.shape[1],
-            independent_alpha=True,
-            use_gates=False,
-        )
-        tcfg = TrainConfig(**train_resolved)
-        net = instantiate_discrete(genotype, sup_cfg, seed=tcfg.seed)
+        net = _discrete_network(genotype, dataset, train_width, tcfg.seed)
         # training gets its own directory so the search's log.csv survives
         train_dir = os.path.join(tier_dir, "train")
         history = train_final(net, dataset, tcfg, out_dir=train_dir)
@@ -357,7 +365,7 @@ def cmd_ablate(args):
         "seed": seed,
         "split_hash": split_hashes["relax"],
         "search_epochs": search_base["epochs"],
-        "train_epochs": train_resolved["epochs"],
+        "train_epochs": tcfg.epochs,
     }
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report_doc, fh, indent=2, sort_keys=True)

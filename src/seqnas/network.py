@@ -16,7 +16,8 @@ import numpy as np
 
 from . import functional as F
 from .autograd import Tensor, default_dtype, parameter
-from .cell import DiscreteCell, SearchCell, derive_genotype
+from .cell import (NUM_EDGES, DiscreteCell, SearchCell, derive_genotype,
+                   gate_coefficients)
 from .module import Module
 from .ops import ChannelNorm, OP_VOCAB
 
@@ -63,15 +64,6 @@ class SupernetConfig:
         return cls(**d)
 
 
-def gate_coefficients(beta, gate_scale=2.0):
-    """(g0, g1) = gate_scale * softmax(beta); they sum to gate_scale."""
-    b = np.asarray(beta.data if hasattr(beta, "data") else beta, dtype=np.float64)
-    z = b - b.max()
-    e = np.exp(z)
-    sm = e / e.sum()
-    return float(gate_scale * sm[0]), float(gate_scale * sm[1])
-
-
 def _check_temporal(layout, t_in):
     """Walk the layout; return per-cell input lengths, or name the cell that underflows."""
     t = t_in
@@ -94,7 +86,6 @@ class _Backbone(Module):
     def __init__(self, config, rng, dtype, track_running):
         super().__init__()
         self.config = config
-        self.dtype = dtype
         c = config.init_channels
         self.stem_w = self.register(parameter(
             (rng.standard_normal((c, config.input_channels, 3))
@@ -102,18 +93,41 @@ class _Backbone(Module):
             "stem.w"))
         self.stem_norm = self.add_child(ChannelNorm(c, dtype, track_running, "stem.norm"))
 
-    def _stem(self, x):
-        return self.stem_norm.forward(F.conv1d(x, self.stem_w, stride=1))
+    def _build(self, make_cell, rng, dtype):
+        """Stack the cells of the layout, then the head, in parameter-creation order.
 
-    def _make_head(self, c_final, rng, dtype):
+        make_cell(i, c_pp, c_p, channels, reduction, reduction_prev) builds cell i.
+        """
+        c_pp = c_p = c_curr = self.config.init_channels
+        reduction_prev = False
+        self.cells = []
+        for i, kind in enumerate(self.config.layout):
+            reduction = kind == "reduction"
+            if reduction:
+                c_curr *= 2
+            self.cells.append(self.add_child(
+                make_cell(i, c_pp, c_p, c_curr, reduction, reduction_prev)))
+            c_pp, c_p = c_p, NODE_MULTIPLIER * c_curr
+            reduction_prev = reduction
+        self.feature_dim = c_p
         k = self.config.num_classes
         self.head_w = self.register(parameter(
-            (rng.standard_normal((k, c_final)) / math.sqrt(c_final)).astype(dtype),
-            "head.w"))
+            (rng.standard_normal((k, c_p)) / math.sqrt(c_p)).astype(dtype), "head.w"))
         self.head_b = self.register(parameter(np.zeros(k, dtype=dtype), "head.b"))
 
-    def _head(self, pooled):
-        return F.linear(pooled, self.head_w, self.head_b)
+    def _run(self, x, run_cell):
+        """Stem, run_cell(i, cell, s0, s1) per cell, pooling and head: (logits, pooled)."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        if x.ndim != 3 or x.shape[1] != self.config.input_channels:
+            raise NetworkError(
+                f"input must be (B, {self.config.input_channels}, T), got {x.shape}"
+            )
+        _check_temporal(self.config.layout, x.shape[2])
+        s0 = s1 = self.stem_norm.forward(F.conv1d(x, self.stem_w, stride=1))
+        for i, cell in enumerate(self.cells):
+            s0, s1 = s1, run_cell(i, cell, s0, s1)
+        pooled = F.global_avg_pool(s1)
+        return F.linear(pooled, self.head_w, self.head_b), pooled
 
     def state_arrays(self):
         """All learnable tensors plus normalization buffers, by unique name."""
@@ -152,26 +166,12 @@ class Supernet(_Backbone):
         dtype = default_dtype()
         super().__init__(config, rng, dtype, track_running=False)
 
-        c_pp = c_p = config.init_channels
-        c_curr = config.init_channels
-        reduction_prev = False
-        self.cells = []
-        for i, kind in enumerate(config.layout):
-            reduction = kind == "reduction"
-            if reduction:
-                c_curr *= 2
-            cell = SearchCell(c_pp, c_p, c_curr, reduction, reduction_prev,
-                              rng, dtype, tag=f"cell{i}")
-            self.cells.append(self.add_child(cell))
-            c_pp, c_p = c_p, NODE_MULTIPLIER * c_curr
-            reduction_prev = reduction
-        self.feature_dim = c_p
-        self._make_head(c_p, rng, dtype)
+        self._build(lambda i, c_pp, c_p, c, reduction, reduction_prev: SearchCell(
+            c_pp, c_p, c, reduction, reduction_prev, rng, dtype, tag=f"cell{i}"), rng, dtype)
 
         # architecture parameters live outside the module tree: the weight
         # optimizer must never see them
         n_ops = len(OP_VOCAB)
-        from .cell import NUM_EDGES
 
         def fresh_alpha(name):
             return parameter(
@@ -205,34 +205,22 @@ class Supernet(_Backbone):
     def weight_parameters(self):
         return self.parameters()
 
-    def forward(self, x, mode="search", genotype=None):
-        logits, _ = self.forward_with_embedding(x, mode=mode, genotype=genotype)
+    def forward(self, x):
+        logits, _ = self.forward_with_embedding(x)
         return logits
 
-    def forward_with_embedding(self, x, mode="search", genotype=None):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 3 or x.shape[1] != self.config.input_channels:
-            raise NetworkError(
-                f"input must be (B, {self.config.input_channels}, T), got {x.shape}"
-            )
-        _check_temporal(self.config.layout, x.shape[2])
-        s0 = s1 = self._stem(x)
+    def forward_with_embedding(self, x):
         self.last_gates = []
-        for i, cell in enumerate(self.cells):
-            g0t = g1t = None
+
+        def run_cell(i, cell, s0, s1):
             if self.config.use_gates:
                 gvec = F.scale(F.softmax(self._betas[i], axis=-1), self.config.gate_scale)
                 g0t, g1t = F.take(gvec, 0), F.take(gvec, 1)
                 self.last_gates.append((float(g0t.data), float(g1t.data)))
-                cin0, cin1 = F.mul(s0, g0t), F.mul(s1, g1t)
-            else:
-                cin0, cin1 = s0, s1
-            entry = genotype.cells[i] if genotype is not None else None
-            out = cell.forward(cin0, cin1, self.cell_alpha[i], mode=mode,
-                               genotype_cell=entry)
-            s0, s1 = s1, out
-        pooled = F.global_avg_pool(s1)
-        return self._head(pooled), pooled
+                s0, s1 = F.mul(s0, g0t), F.mul(s1, g1t)
+            return cell.forward(s0, s1, self.cell_alpha[i])
+
+        return self._run(x, run_cell)
 
     def derive(self, threshold=None, meta=None):
         """Discrete genotype from the current per-cell alpha and beta."""
@@ -274,40 +262,22 @@ class DiscreteNetwork(_Backbone):
         super().__init__(config, rng, dtype, track_running=True)
         self.genotype = genotype
 
-        c_pp = c_p = config.init_channels
-        c_curr = config.init_channels
-        reduction_prev = False
-        self.cells = []
-        for i, entry in enumerate(genotype.cells):
-            if entry.kind == "reduction":
-                c_curr *= 2
-            cell = DiscreteCell(entry, c_pp, c_p, c_curr, reduction_prev,
-                                rng, dtype, track_running=True, tag=f"cell{i}")
-            self.cells.append(self.add_child(cell))
-            c_pp, c_p = c_p, NODE_MULTIPLIER * c_curr
-            reduction_prev = entry.kind == "reduction"
-        self.feature_dim = c_p
-        self._make_head(c_p, rng, dtype)
+        self._build(lambda i, c_pp, c_p, c, reduction, reduction_prev: DiscreteCell(
+            genotype.cells[i], c_pp, c_p, c, reduction_prev, rng, dtype,
+            track_running=True, tag=f"cell{i}"), rng, dtype)
 
     def forward(self, x, edge_regularizer=None):
         logits, _ = self.forward_with_embedding(x, edge_regularizer)
         return logits
 
     def forward_with_embedding(self, x, edge_regularizer=None):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 3 or x.shape[1] != self.config.input_channels:
-            raise NetworkError(
-                f"input must be (B, {self.config.input_channels}, T), got {x.shape}"
-            )
-        _check_temporal(self.config.layout, x.shape[2])
-        s0 = s1 = self._stem(x)
-        for cell, entry in zip(self.cells, self.genotype.cells):
-            cin0 = F.zeros(s0.shape, dtype=s0.dtype) if entry.pruned[0] else s0
-            cin1 = F.zeros(s1.shape, dtype=s1.dtype) if entry.pruned[1] else s1
-            out = cell.forward(cin0, cin1, edge_regularizer=edge_regularizer)
-            s0, s1 = s1, out
-        pooled = F.global_avg_pool(s1)
-        return self._head(pooled), pooled
+        def run_cell(i, cell, s0, s1):
+            pruned = cell.entry.pruned
+            s0 = F.zeros(s0.shape, dtype=s0.dtype) if pruned[0] else s0
+            s1 = F.zeros(s1.shape, dtype=s1.dtype) if pruned[1] else s1
+            return cell.forward(s0, s1, edge_regularizer=edge_regularizer)
+
+        return self._run(x, run_cell)
 
 
 def instantiate_discrete(genotype, config, seed=0):

@@ -47,19 +47,13 @@ class ChannelNorm(Module):
         self.running_var = np.ones(channels, dtype=dtype)
 
     def forward(self, x):
-        if self.training or not self.track_running:
-            return F.channel_norm(
-                x, self.gamma, self.beta,
-                use_batch_stats=True,
-                running_mean=self.running_mean if self.track_running else None,
-                running_var=self.running_var if self.track_running else None,
-                update_running=self.training and self.track_running,
-            )
+        running = self.track_running
         return F.channel_norm(
             x, self.gamma, self.beta,
-            use_batch_stats=False,
-            running_mean=self.running_mean,
-            running_var=self.running_var,
+            use_batch_stats=self.training or not running,
+            running_mean=self.running_mean if running else None,
+            running_var=self.running_var if running else None,
+            update_running=self.training and running,
         )
 
 

@@ -14,11 +14,14 @@ Layout (documented for external readers):
                               "data": "<base64 of raw little-endian bytes>"} }
     }
 
-Loading validates the whole document before any state is touched.
+Saving writes a sibling temp file and renames it over the target, so a
+checkpoint on disk is always complete.  Loading validates the whole
+document before any state is touched.
 """
 
 import base64
 import json
+import os
 
 import numpy as np
 
@@ -58,8 +61,15 @@ def save_checkpoint(path, kind, config, counters, arrays, extra=None):
         "extra": extra or {},
         "arrays": {name: encode_array(a) for name, a in arrays.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_kind=None):

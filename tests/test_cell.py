@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqnas.autograd import Tensor, reset_tape, using_dtype
-from seqnas.cell import (EDGES, NUM_EDGES, CellGenotype, CellSpec, Genotype,
+from seqnas.cell import (EDGES, NUM_EDGES, CellGenotype, DiscreteCell, Genotype,
                          GenotypeError, SearchCell, derive_genotype,
                          genotype_to_dot)
 from seqnas.ops import OP_VOCAB
@@ -19,9 +19,6 @@ def test_edge_enumeration():
     assert EDGES[:2] == ((0, 2), (1, 2))
     for frm, to in EDGES:
         assert frm < to
-    assert CellSpec("normal").edges == EDGES
-    with pytest.raises(ValueError):
-        CellSpec("weird")
 
 
 def onehot_alpha(picks, boost=40.0):
@@ -190,7 +187,7 @@ def test_cell_forward_lengths():
         reset_tape()
 
 
-def test_search_mode_saturated_equals_discrete_mode():
+def test_saturated_search_cell_equals_discrete_cell_with_its_weights():
     with using_dtype(np.float64):
         r = np.random.default_rng(9)
         # exactly two non-"none" edges per node so soft and hard sums agree
@@ -198,12 +195,28 @@ def test_search_mode_saturated_equals_discrete_mode():
         alpha_arr = onehot_alpha(picks)
         genotype = derive_genotype([alpha_arr], None, 0.2, ["normal"])
 
-        cell = SearchCell(3, 3, 3, False, False, r, np.float64)
+        search = SearchCell(3, 3, 3, False, False, r, np.float64)
+        discrete = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64,
+                                track_running=False)
+        # give every discrete module the weights of its search counterpart
+        pairs = [(discrete.pre0, search.pre0), (discrete.pre1, search.pre1)]
+        for j, inputs in enumerate(discrete.node_inputs):
+            for frm, (op_name, op) in inputs:
+                k = EDGES.index((frm, j + 2))
+                pairs.append((op, search.mixed[k].candidates[OP_VOCAB.index(op_name)]))
+        for dst, src in pairs:
+            for p, q in zip(dst.parameters(), src.parameters(), strict=True):
+                p.data[...] = q.data
+
         s0 = Tensor(r.standard_normal((2, 3, 10)))
         s1 = Tensor(r.standard_normal((2, 3, 10)))
-        soft = cell.forward(s0, s1, Tensor(alpha_arr), mode="search")
+        soft = search.forward(s0, s1, Tensor(alpha_arr))
         reset_tape()
-        hard = cell.forward(s0, s1, None, mode="discrete",
-                            genotype_cell=genotype.cells[0])
+        hard = discrete.forward(s0, s1)
         reset_tape()
         assert np.allclose(soft.data, hard.data, atol=1e-5)
+        # the weights carry the equality: a fresh discrete cell disagrees
+        fresh = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64,
+                             track_running=False)
+        assert not np.allclose(fresh.forward(s0, s1).data, soft.data, atol=1e-2)
+        reset_tape()

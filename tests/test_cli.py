@@ -247,3 +247,46 @@ def test_ablate_three_rows_and_reproducible(tmp_path):
         assert log[0] == "step,epoch,train_loss,val_loss,lr"  # the search log survives
         assert len(log) > 1
         assert (out1 / tier / "train" / "log.csv").exists()
+
+
+def test_ablate_trains_at_config_file_width(tmp_path):
+    from seqnas.train import load_trained
+
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"train": {"init_channels": 6}}))
+    out = tmp_path / "ablate"
+    assert run_cli(["ablate", *MICRO_DATA, *MICRO_NET, "--seed", "4", "--config", cfg,
+                    "--search-epochs", "1", "--train-epochs", "1", "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["search"]["init_channels"] == 4  # the flag
+    assert manifest["config"]["train"]["init_channels"] == 6  # the config file
+    for tier in ("darts", "alpha", "relax"):
+        _, _, doc = load_trained(str(out / tier / "train" / "weights.json"))
+        assert doc["config"]["supernet"]["init_channels"] == 6
+
+
+def test_ablate_train_width_defaults_to_search_width(tmp_path):
+    out = tmp_path / "ablate"
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"search": {"num_cells": 2,
+                                          "layout": ["normal", "reduction"]}}))
+    assert run_cli(["ablate", *MICRO_DATA, *MICRO_NET, "--seed", "4", "--config", cfg,
+                    "--search-epochs", "1", "--train-epochs", "0", "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train"]["init_channels"] == 4
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"train": {"init_chanels": 6}}, "'train.init_chanels'"),
+    ({"model": {"init_channels": 6}}, "'model'"),
+    ({"search": {"optimizer": {"x1": 0.01}}}, "'search.optimizer.x1'"),
+    ({"data": {"windw": 64}}, "'data.windw'"),
+])
+def test_unknown_config_key_is_data_error(tmp_path, capsys, doc, name):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "search"
+    assert run_cli(["search", *MICRO_DATA, *MICRO_NET, "--config", cfg,
+                    "--epochs", "1", "--out", out]) == 3
+    assert f"unknown key {name}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -264,3 +265,32 @@ def test_pruned_input_feeds_zeros():
     # same weights, different wiring: pruning must change the output
     assert not np.allclose(la.data, lb.data, atol=1e-6)
     assert np.all(np.isfinite(lb.data))
+
+
+def _state_sha256(net):
+    h = hashlib.sha256()
+    for name, arr in sorted(net.state_arrays().items()):
+        h.update(f"{name}:{arr.dtype.name}:{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_initial_weights_pinned():
+    # any change to parameter names or creation order changes these hashes
+    layout = ("normal", "reduction", "normal")
+    ops = [op for op in OP_VOCAB if op != "none"]
+    cells = []
+    for ci, kind in enumerate(layout):
+        nodes = [[(ops[(2 * j + ci) % 7], 0), (ops[(2 * j + ci + 1) % 7], j + 1)]
+                 for j in range(4)]
+        cells.append(CellGenotype(kind=kind, nodes=nodes,
+                                  gates=(1.9, 0.1) if ci == 1 else (1.0, 1.0),
+                                  pruned=(False, True) if ci == 1 else (False, False)))
+    genotype = Genotype(cells=cells).validate()
+    cfg = dict(num_cells=3, layout=layout, init_channels=4, num_classes=5,
+               input_channels=2)
+    assert _state_sha256(Supernet(SupernetConfig(**cfg), seed=3)) == \
+        "632ae35936ddd5813064c8efc84e3413fc431b57cb99a51e614cfb4236e37b5b"
+    assert _state_sha256(instantiate_discrete(
+        genotype, SupernetConfig(**cfg, use_gates=False), seed=3)) == \
+        "7f8c4ddbb172e95e69378bc8e2e1222844df06f7952b4b96f72f11f52d654c82"

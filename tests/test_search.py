@@ -167,6 +167,23 @@ def test_corrupted_checkpoint_is_structured_error(tmp_path):
         load_checkpoint(str(tmp_path / "t.json"))
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "last.json"
+    save_checkpoint(str(path), "search", {"a": 1}, {"step": 3},
+                    {"x": np.arange(4, dtype=np.float32)})
+    before = path.read_bytes()
+    # sorted keys put "arrays" ahead of "extra", so the dump fails mid-write
+    with pytest.raises(TypeError):
+        save_checkpoint(str(path), "search", {"a": 1}, {"step": 4},
+                        {"x": np.zeros(4, dtype=np.float32)},
+                        extra={"bad": object()})
+    assert path.read_bytes() == before
+    doc = load_checkpoint(str(path))
+    assert doc["counters"]["step"] == 3
+    assert np.array_equal(doc["arrays"]["x"], np.arange(4, dtype=np.float32))
+    assert os.listdir(tmp_path) == ["last.json"]
+
+
 def test_resume_rejects_config_mismatch(tmp_path):
     ds = micro_dataset()
     out = str(tmp_path / "x")
