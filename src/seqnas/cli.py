@@ -1,56 +1,79 @@
 """Operator entry point: search, train, eval, and the three-tier ablation.
 
-Config precedence is flags > config file (--config, JSON) > built-in
-defaults; the fully resolved configuration is dumped into every run
-directory.  Each command writes a run manifest before compute starts, so
-any output directory is self-describing.
+Config precedence is flags > config file (--config, JSON) > the defaults
+declared on the config fields (see seqnas.config); a value that does not
+fit its field exits 3 naming its section.key and flag.  The fully
+resolved configuration is dumped into every run directory.  Each command
+writes a run manifest before compute starts, so any output directory is
+self-describing.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import data as D
 from . import metrics as M
 from .cell import Genotype, GenotypeError
+from .config import Config, ConfigError, declared, spec
 from .network import NetworkError, SupernetConfig, instantiate_discrete
 from .optim import NumericsError, OptimizerConfig
 from .search import SearchRunConfig, run_search
-from .serialize import CheckpointError
+from .serialize import CheckpointError, atomic_write, load_checkpoint
 from .train import TrainConfig, load_trained, save_trained, train_final
 
-DATA_DEFAULTS = {
-    "synth_subjects": 20,
-    "synth_sessions": 2,
-    "synth_length": 1280,
-    "synth_channels": 2,
-    "window": 128,
-    "stride": 64,
-}
 
-EVAL_BATCH_DEFAULT = 256
+@dataclasses.dataclass
+class DataConfig(Config):
+    """The `data` section: the synthetic set's size and the windowing."""
+
+    synth_subjects: int = spec(20, min=2)
+    synth_sessions: int = spec(2, min=1)
+    synth_length: int = spec(1280, min=1)
+    synth_channels: int = spec(2, min=1)
+    window: int = spec(128, min=1)
+    stride: int = spec(64, min=1)
+
+
+@dataclasses.dataclass
+class TrainSection(TrainConfig):
+    """The `train` section: TrainConfig plus the network width, which stays out of
+    weights.json's `train`; None is 8 for train and the search width for ablate."""
+
+    init_channels: int = spec(None, min=1)
+
+
+@dataclasses.dataclass
+class EvalConfig(Config):
+    """The `eval` section, which only flags set: the embedding batch."""
+
+    batch: int = spec(256, min=1)
+
+
+SECTIONS = {"data": DataConfig, "search": SearchRunConfig, "train": TrainSection,
+            "eval": EvalConfig}
+FILE_SECTIONS = ("data", "search", "train")
 
 
 def default_hyperparameters():
     """Published defaults, snapshot-tested: search/train schedules and sizes."""
-    opt = OptimizerConfig()
+    opt, train = OptimizerConfig(), TrainConfig()
     return {
         "w_lr0": opt.w_lr0,
         "momentum": opt.momentum,
         "weight_decay": opt.weight_decay,
-        "drop_path_p": TrainConfig().drop_path_p,
+        "drop_path_p": train.drop_path_p,
         "search_epochs": SearchRunConfig().epochs,
-        "train_epochs": TrainConfig().epochs,
-        "train_batch": TrainConfig().batch,
-        "eval_batch": EVAL_BATCH_DEFAULT,
+        "train_epochs": train.epochs,
+        "train_batch": train.batch,
+        "eval_batch": EvalConfig().batch,
     }
 
 
@@ -62,25 +85,8 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _resolve(defaults, file_cfg, flags):
-    """defaults < config file < explicitly passed flags (non-None)."""
-    return {**defaults, **file_cfg, **{k: v for k, v in flags.items() if v is not None}}
-
-
-def _check_keys(path, known, given, where=""):
-    """Reject any key of given that known lacks, recursing into dict-valued keys."""
-    if not isinstance(given, dict):
-        raise D.DataError(f"config file {path}: {where or 'top level'} must be an object")
-    for k, v in given.items():
-        name = f"{where}.{k}" if where else k
-        if k not in known:
-            raise D.DataError(f"config file {path}: unknown key {name!r}")
-        if isinstance(known[k], dict):
-            _check_keys(path, known[k], v, name)
-
-
 def _load_config_file(path):
-    """The config file's sections; unknown sections and keys are data errors."""
+    """The config file's sections, each checked; unknown sections and keys are errors."""
     if path is None:
         return {}
     try:
@@ -88,17 +94,43 @@ def _load_config_file(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise D.DataError(f"cannot read config file {path}: {exc}") from exc
-    _check_keys(path, {"data": DATA_DEFAULTS, "search": SearchRunConfig().to_dict(),
-                       "train": {**TrainConfig().to_dict(), "init_channels": None}}, doc)
+    if not isinstance(doc, dict):
+        raise D.DataError(f"config file {path}: top level must be an object")
+    for name, section in doc.items():
+        if name not in FILE_SECTIONS:
+            raise ConfigError(name)
+        SECTIONS[name].from_dict(section, name)
     return doc
 
 
-def _train_config(file_cfg, flags, default_width):
-    """(TrainConfig, network width): flags > config file `train` > defaults."""
-    resolved = _resolve({**TrainConfig().to_dict(), "init_channels": default_width},
-                        file_cfg.get("train", {}), flags)
-    width = resolved.pop("init_channels")
-    return TrainConfig(**resolved), width
+def _resolve(args):
+    """Every section: flags > config file > declared defaults, each value checked;
+    a ConfigError names the flag that set the value, if any."""
+    doc = _load_config_file(args.config)
+    set_by = {}
+    for option, dest, keys in args.config_flags:
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        for key in keys:
+            *path, name = key.split(".")
+            node = doc
+            for part in path:
+                node = node.setdefault(part, {})
+            node[name] = value
+            set_by[key] = option
+    try:
+        return {name: cls.from_dict(doc.get(name, {}), name) for name, cls in SECTIONS.items()}
+    except ConfigError as exc:
+        exc.flag = set_by.get(exc.key)
+        raise
+
+
+def _train_config(section, default_width):
+    """(TrainConfig, network width) from a resolved `train` section."""
+    doc = section.to_dict()
+    width = doc.pop("init_channels")
+    return TrainConfig.from_dict(doc), default_width if width is None else width
 
 
 def _discrete_network(genotype, dataset, width, seed):
@@ -109,12 +141,23 @@ def _discrete_network(genotype, dataset, width, seed):
         init_channels=width,
         num_classes=dataset.num_classes,
         input_channels=dataset.windows.shape[1],
-        independent_alpha=True,
         use_gates=False,
     ), seed=seed)
 
 
-def _data_flags(parser):
+def _flag(parser, option, *keys, **kw):
+    """A flag setting config keys ("section.key") typed by the first key's field."""
+    section, _, key = keys[0].partition(".")
+    f = declared(SECTIONS[section], key)
+    action = parser.add_argument(option, type=f.type, choices=f.metadata.get("choices"), **kw)
+    return option, action.dest, keys
+
+
+def _subcommand(sub, name, func, summary):
+    """A subparser with the data, --config and --out flags; returns it and the
+    config flags added so far."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(func=func)
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="CSV file of gaze sequences")
     src.add_argument("--synthetic", action="store_true",
@@ -123,21 +166,24 @@ def _data_flags(parser):
     parser.add_argument("--session-col", default=None)
     parser.add_argument("--channels", default=None,
                         help="comma-separated channel column names")
-    parser.add_argument("--synth-subjects", type=int, default=None)
-    parser.add_argument("--synth-length", type=int, default=None)
-    parser.add_argument("--synth-channels", type=int, default=None)
-    parser.add_argument("--window", type=int, default=None)
-    parser.add_argument("--stride", type=int, default=None)
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", required=True)
+    keys = ("synth_subjects", "synth_length", "synth_channels", "window", "stride")
+    return parser, [_flag(parser, "--" + key.replace("_", "-"), "data." + key) for key in keys]
 
 
-def _build_dataset(args, file_cfg, seed):
-    cfg = _resolve(DATA_DEFAULTS, file_cfg.get("data", {}), {
-        "synth_subjects": getattr(args, "synth_subjects", None),
-        "synth_length": getattr(args, "synth_length", None),
-        "synth_channels": getattr(args, "synth_channels", None),
-        "window": getattr(args, "window", None),
-        "stride": getattr(args, "stride", None),
-    })
+def _search_flags(parser):
+    """The search flags that search and ablate share."""
+    return [_flag(parser, "--xi", "search.optimizer.xi",
+                  help="unrolling step size; 0 = first order"),
+            _flag(parser, "--gate-scale", "search.gate_scale"),
+            _flag(parser, "--threshold", "search.gate_threshold",
+                  help="gate pruning threshold at derivation"),
+            _flag(parser, "--init-channels", "search.init_channels"),
+            _flag(parser, "--split-ratio", "search.split_ratio")]
+
+
+def _build_dataset(args, cfg, seed):
     if args.data:
         schema = D.CsvSchema(
             subject_col=args.subject_col or "subject",
@@ -146,22 +192,22 @@ def _build_dataset(args, file_cfg, seed):
         )
         records = D.ingest_csv(args.data, schema)
         desc = {"source": "csv", "path": os.path.abspath(args.data),
-                "window": cfg["window"], "stride": cfg["stride"]}
+                "window": cfg.window, "stride": cfg.stride}
         input_hash = _sha256_file(args.data)
     else:
         gen = {
-            "num_subjects": cfg["synth_subjects"],
-            "sessions": cfg["synth_sessions"],
-            "length": cfg["synth_length"],
-            "channels": cfg["synth_channels"],
+            "num_subjects": cfg.synth_subjects,
+            "sessions": cfg.synth_sessions,
+            "length": cfg.synth_length,
+            "channels": cfg.synth_channels,
             "seed": seed,
         }
         records = D.synth_generate(**gen)
         desc = {"source": "synthetic", **gen,
-                "window": cfg["window"], "stride": cfg["stride"]}
+                "window": cfg.window, "stride": cfg.stride}
         input_hash = hashlib.sha256(
             json.dumps(desc, sort_keys=True).encode()).hexdigest()
-    dataset = D.make_windows(records, cfg["window"], cfg["stride"])
+    dataset = D.make_windows(records, cfg.window, cfg.stride)
     return dataset, desc, input_hash
 
 
@@ -177,34 +223,19 @@ def write_manifest(out_dir, command, config, input_hashes, outputs, seed):
         "outputs": outputs,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
-def _search_config(args, file_cfg, num_cells=None):
-    base = SearchRunConfig().to_dict()
-    resolved = _resolve(base, file_cfg.get("search", {}), {
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "tier": args.tier,
-        "gate_scale": args.gate_scale,
-        "gate_threshold": args.threshold,
-        "init_channels": args.init_channels,
-        "split_ratio": args.split_ratio,
-    })
-    if args.xi is not None:
-        resolved["optimizer"]["xi"] = args.xi
-    if num_cells is not None:
-        resolved["num_cells"] = num_cells
-    return SearchRunConfig.from_dict(resolved)
+def _write_json(path, doc):
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 def cmd_search(args):
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else file_cfg.get("search", {}).get("seed", 0)
-    dataset, data_desc, input_hash = _build_dataset(args, file_cfg, seed)
-    config = _search_config(args, file_cfg)
+    cfg = _resolve(args)
+    config = cfg["search"]
+    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], config.seed)
     out = args.out
     write_manifest(
         out, "search",
@@ -221,21 +252,15 @@ def cmd_search(args):
 
 
 def cmd_train(args):
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else 0
-    dataset, data_desc, input_hash = _build_dataset(args, file_cfg, seed)
+    cfg = _resolve(args)
+    config, init_channels = _train_config(cfg["train"], 8)
+    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], config.seed)
     try:
         with open(args.genotype) as fh:
             genotype = Genotype.from_json(fh.read())
     except OSError as exc:
         raise D.DataError(f"cannot read genotype {args.genotype}: {exc}") from exc
 
-    config, init_channels = _train_config(file_cfg, {
-        "epochs": args.epochs,
-        "drop_path_p": args.drop_path,
-        "seed": args.seed,
-        "init_channels": args.init_channels,
-    }, 8)
     out = args.out
     write_manifest(
         out, "train",
@@ -266,16 +291,16 @@ def _evaluate(net, dataset, batch_size):
 
 
 def cmd_eval(args):
-    file_cfg = _load_config_file(args.config)
+    cfg = _resolve(args)
     net, genotype, doc = load_trained(args.weights)
-    trained_channels = doc["config"]["supernet"]["init_channels"]
+    trained_channels = net.config.init_channels
     if args.init_channels is not None and args.init_channels != trained_channels:
         raise D.DataError(
             f"--init-channels {args.init_channels} disagrees with the "
             f"checkpoint, which was trained with {trained_channels}")
-    seed = doc["config"]["train"].get("seed", 0)
-    dataset, data_desc, input_hash = _build_dataset(args, file_cfg, seed)
-    batch = args.batch or EVAL_BATCH_DEFAULT
+    seed = TrainConfig.from_dict(doc["config"]["train"], "config.train").seed
+    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], seed)
+    batch = cfg["eval"].batch
     out = args.out
     write_manifest(
         out, "eval",
@@ -286,8 +311,7 @@ def cmd_eval(args):
         seed,
     )
     scores, report = _evaluate(net, dataset, batch)
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "metrics.json"), report)
     M.write_det_csv(scores, os.path.join(out, "det.csv"))
     print(f"eval done: EER={report['eer']:.4f} "
           f"FRR@FAR(1e-1,1e-2,1e-3)="
@@ -310,24 +334,18 @@ def _format_report(rows):
 
 
 def cmd_ablate(args):
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else 0
-    dataset, data_desc, input_hash = _build_dataset(args, file_cfg, seed)
-
-    search_base = _search_config(args, file_cfg).to_dict()
-    search_base["epochs"] = args.search_epochs or search_base["epochs"]
+    cfg = _resolve(args)
+    search = cfg["search"]
     # --init-channels sets the search width; training defaults to it
-    tcfg, train_width = _train_config(file_cfg, {
-        "epochs": args.train_epochs,
-        "drop_path_p": args.drop_path,
-        "seed": args.seed,
-    }, search_base["init_channels"])
+    tcfg, train_width = _train_config(cfg["train"], search.init_channels)
+    seed = search.seed
+    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], seed)
 
     out = args.out
     write_manifest(
         out, "ablate",
-        {"search": search_base, "train": {**tcfg.to_dict(), "init_channels": train_width},
-         "data": data_desc},
+        {"search": search.to_dict(),
+         "train": {**tcfg.to_dict(), "init_channels": train_width}, "data": data_desc},
         {"data": input_hash},
         {"report": "report.txt", "report_json": "report.json"},
         seed,
@@ -336,14 +354,10 @@ def cmd_ablate(args):
     rows = []
     split_hashes = {}
     for tier in ("darts", "alpha", "relax"):
-        tier_cfg = dict(search_base)
-        tier_cfg["tier"] = tier
-        config = SearchRunConfig.from_dict(tier_cfg)
+        config = dataclasses.replace(search, tier=tier)
         tier_dir = os.path.join(out, tier)
         genotype = run_search(config, dataset, out_dir=tier_dir)
         ckpt = os.path.join(tier_dir, "checkpoints", "last.json")
-        from .serialize import load_checkpoint
-
         split_hashes[tier] = load_checkpoint(ckpt)["extra"]["split_hash"]
 
         net = _discrete_network(genotype, dataset, train_width, tcfg.seed)
@@ -352,25 +366,22 @@ def cmd_ablate(args):
         history = train_final(net, dataset, tcfg, out_dir=train_dir)
         save_trained(os.path.join(train_dir, "weights.json"),
                      net, genotype, tcfg, history)
-        _, report = _evaluate(net, dataset, EVAL_BATCH_DEFAULT)
-        with open(os.path.join(tier_dir, "metrics.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        _, report = _evaluate(net, dataset, cfg["eval"].batch)
+        _write_json(os.path.join(tier_dir, "metrics.json"), report)
         rows.append({"tier": tier, **report})
 
     if len(set(split_hashes.values())) != 1:
         raise D.DataError(f"tiers saw different data splits: {split_hashes}")
 
-    report_doc = {
+    _write_json(os.path.join(out, "report.json"), {
         "rows": rows,
         "seed": seed,
         "split_hash": split_hashes["relax"],
-        "search_epochs": search_base["epochs"],
+        "search_epochs": search.epochs,
         "train_epochs": tcfg.epochs,
-    }
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report_doc, fh, indent=2, sort_keys=True)
+    })
     text = _format_report(rows)
-    with open(os.path.join(out, "report.txt"), "w") as fh:
+    with atomic_write(os.path.join(out, "report.txt")) as fh:
         fh.write(text)
     print(text, end="")
     return 0
@@ -385,59 +396,35 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("search", help="run the architecture search")
-    _data_flags(p)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--tier", choices=("darts", "alpha", "relax"), default=None)
-    p.add_argument("--xi", type=float, default=None,
-                   help="unrolling step size; 0 = first order")
-    p.add_argument("--gate-scale", type=float, choices=(1.0, 2.0), default=None)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="gate pruning threshold at derivation")
-    p.add_argument("--init-channels", type=int, default=None)
-    p.add_argument("--split-ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_search)
+    p, flags = _subcommand(sub, "search", cmd_search, "run the architecture search")
+    p.set_defaults(config_flags=flags + _search_flags(p) + [
+        _flag(p, "--epochs", "search.epochs"),
+        _flag(p, "--tier", "search.tier"),
+        _flag(p, "--seed", "search.seed"),
+    ])
 
-    p = sub.add_parser("train", help="train a derived network from scratch")
-    _data_flags(p)
+    p, flags = _subcommand(sub, "train", cmd_train, "train a derived network from scratch")
     p.add_argument("--genotype", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--drop-path", type=float, default=None)
-    p.add_argument("--init-channels", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(config_flags=flags + [
+        _flag(p, "--epochs", "train.epochs"),
+        _flag(p, "--drop-path", "train.drop_path_p"),
+        _flag(p, "--init-channels", "train.init_channels"),
+        _flag(p, "--seed", "train.seed"),
+    ])
 
-    p = sub.add_parser("eval", help="verification metrics on session 2")
-    _data_flags(p)
+    p, flags = _subcommand(sub, "eval", cmd_eval, "verification metrics on session 2")
     p.add_argument("--weights", required=True)
-    p.add_argument("--batch", type=int, default=None)
     p.add_argument("--init-channels", type=int, default=None,
                    help="must match the checkpoint's width if given")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(config_flags=flags + [_flag(p, "--batch", "eval.batch")])
 
-    p = sub.add_parser("ablate", help="search+train+eval for all three tiers")
-    _data_flags(p)
-    p.add_argument("--search-epochs", type=int, default=None)
-    p.add_argument("--train-epochs", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--tier", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--gate-scale", type=float, choices=(1.0, 2.0), default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--drop-path", type=float, default=None)
-    p.add_argument("--init-channels", type=int, default=None)
-    p.add_argument("--split-ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
+    p, flags = _subcommand(sub, "ablate", cmd_ablate, "search+train+eval for all three tiers")
+    p.set_defaults(config_flags=flags + _search_flags(p) + [
+        _flag(p, "--search-epochs", "search.epochs"),
+        _flag(p, "--train-epochs", "train.epochs"),
+        _flag(p, "--drop-path", "train.drop_path_p"),
+        _flag(p, "--seed", "search.seed", "train.seed"),
+    ])
 
     return parser
 

@@ -12,9 +12,8 @@ and one column per channel; rows are samples in time order, grouped by
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,15 +230,21 @@ class WindowedDataset:
 
 
 def make_windows(records, window_len, stride, z_normalize=True):
-    """Slice records into fixed windows; z-score with session-1 statistics."""
+    """Slice records into fixed windows; z-score with session-1 statistics.
+
+    Records shorter than the window (segments cut by long NaN gaps) are
+    skipped; a (subject, session) left with no window is a DataError."""
     if not records:
         raise DataError("no records to window")
-    too_short = [r for r in records if r.length < window_len]
+    kept = [r for r in records if r.length >= window_len]
+    windowed = {(r.subject_id, r.session_id) for r in kept}
+    too_short = [(r.subject_id, r.session_id, r.length) for r in records
+                 if (r.subject_id, r.session_id) not in windowed]
     if too_short:
-        names = [(r.subject_id, r.session_id, r.length) for r in too_short[:5]]
         raise DataError(
-            f"window length {window_len} exceeds record length for: {names}"
+            f"window length {window_len} exceeds record length for: {too_short[:5]}"
         )
+    records = kept
     names = records[0].channel_names
     subjects = sorted({r.subject_id for r in records})
     sub_index = {s: i for i, s in enumerate(subjects)}

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import no_grad
+from .serialize import atomic_write
 
 
 class MetricError(ValueError):
@@ -186,7 +187,7 @@ _DET_CSV_ROWS = 8192
 def write_det_csv(scores: ScoreSet, path):
     """det.csv: one row per DET point, floats written as repr(float)."""
     thresholds, far, frr = det_curve(scores)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("threshold", "far", "frr"))
         for i in range(0, len(thresholds), _DET_CSV_ROWS):

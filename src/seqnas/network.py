@@ -10,7 +10,7 @@ inputs of every cell by gate_scale * softmax(beta).
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import functional as F
 from .autograd import Tensor, default_dtype, parameter
 from .cell import (NUM_EDGES, DiscreteCell, SearchCell, derive_genotype,
                    gate_coefficients)
+from .config import Config, spec
 from .module import Module
 from .ops import ChannelNorm, OP_VOCAB
 
@@ -31,37 +32,35 @@ class NetworkError(ValueError):
 
 
 @dataclass
-class SupernetConfig:
-    num_cells: int = 6
+class CellStackConfig(Config):
+    """The cell stack and its input gates, shared by SupernetConfig and
+    SearchRunConfig; the layout's length and cell kinds are NetworkErrors."""
+
+    num_cells: int = spec(6, min=1)
     layout: tuple = DEFAULT_LAYOUT
-    init_channels: int = 8
-    num_classes: int = 10
-    input_channels: int = 2
-    independent_alpha: bool = True
-    use_gates: bool = True
-    gate_scale: float = 2.0
-    gate_threshold: float = 0.2
+    init_channels: int = spec(8, min=1)
+    gate_scale: float = spec(2.0, choices=(1.0, 2.0))  # the gates' sum
+    gate_threshold: float = spec(0.2, min=0, below=1)  # the cut at derivation
 
     def __post_init__(self):
-        self.layout = tuple(self.layout)
+        super().__post_init__()
         if len(self.layout) != self.num_cells:
             raise NetworkError(
                 f"layout has {len(self.layout)} entries for {self.num_cells} cells"
             )
-        if self.init_channels <= 0:
-            raise NetworkError("init_channels must be positive")
         for kind in self.layout:
             if kind not in ("normal", "reduction"):
                 raise NetworkError(f"bad cell kind {kind!r} in layout")
 
-    def to_dict(self):
-        d = asdict(self)
-        d["layout"] = list(self.layout)
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+@dataclass
+class SupernetConfig(CellStackConfig):
+    """A network: the cell stack, its input and head, and the tier's switches."""
+
+    num_classes: int = spec(10, min=1)
+    input_channels: int = spec(2, min=1)
+    independent_alpha: bool = True
+    use_gates: bool = True
 
 
 def _check_temporal(layout, t_in):
@@ -222,13 +221,13 @@ class Supernet(_Backbone):
 
         return self._run(x, run_cell)
 
-    def derive(self, threshold=None, meta=None):
+    def derive(self, meta=None):
         """Discrete genotype from the current per-cell alpha and beta."""
         gates = self._betas if self.config.use_gates else None
         return derive_genotype(
             self.cell_alpha,
             gates,
-            self.config.gate_threshold if threshold is None else threshold,
+            self.config.gate_threshold,
             list(self.config.layout),
             gate_scale=self.config.gate_scale,
             meta=meta,

@@ -9,12 +9,13 @@ central finite difference over the weights.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import functional as F
 from .autograd import backward, reset_tape
+from .config import Config, spec
 
 
 class NumericsError(RuntimeError):
@@ -22,28 +23,20 @@ class NumericsError(RuntimeError):
 
 
 @dataclass
-class OptimizerConfig:
-    w_lr0: float = 0.025  # cosine-annealed to 0 over the run
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    arch_lr: float = 3e-4
-    arch_beta1: float = 0.5
-    arch_beta2: float = 0.999
-    arch_eps: float = 1e-8
-    arch_weight_decay: float = 1e-3
-    xi: float = 0.0  # unrolling step size; 0 selects the first-order scheme
-    hessian_eps: float = 1e-4  # probe scale for the finite-difference product
-    grad_clip: float = 5.0
+class OptimizerConfig(Config):
+    """Weight SGD, architecture Adam and unrolling settings (section `optimizer`)."""
 
-    def __post_init__(self):
-        for name in ("w_lr0", "weight_decay", "arch_lr", "arch_weight_decay", "xi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-
-    def to_dict(self):
-        return dict(self.__dict__)
+    w_lr0: float = spec(0.025, min=0)  # cosine-annealed to 0 over the run
+    momentum: float = spec(0.9, min=0, below=1)
+    weight_decay: float = spec(5e-4, min=0)
+    arch_lr: float = spec(3e-4, min=0)
+    arch_beta1: float = spec(0.5, min=0, below=1)
+    arch_beta2: float = spec(0.999, min=0, below=1)
+    arch_eps: float = spec(1e-8, above=0)
+    arch_weight_decay: float = spec(1e-3, min=0)
+    xi: float = spec(0.0, min=0)  # unrolling step size; 0 selects the first-order scheme
+    hessian_eps: float = spec(1e-4, above=0)  # probe scale for the finite-difference product
+    grad_clip: float = spec(5.0, above=0)
 
 
 def cosine_lr(t, total, lr0):

@@ -11,69 +11,37 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import data as D
-from .network import Supernet, SupernetConfig, DEFAULT_LAYOUT
+from .config import spec
+from .network import CellStackConfig, Supernet, SupernetConfig
 from .optim import (NumericsError, OptimizerConfig, cosine_lr,
                     make_triple_state, triple_step)
-from .serialize import CheckpointError, load_checkpoint, save_checkpoint
+from .serialize import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 
 TIERS = ("darts", "alpha", "relax")
 
 
 @dataclass
-class SearchRunConfig:
-    epochs: int = 50
-    train_batch: int = 32
-    val_batch: int = 32
-    seed: int = 0
-    tier: str = "relax"
-    split_ratio: float = 0.5
-    num_cells: int = 6
-    layout: tuple = DEFAULT_LAYOUT
-    init_channels: int = 8
-    gate_scale: float = 2.0
-    gate_threshold: float = 0.2
+class SearchRunConfig(CellStackConfig):
+    """One search run (config section `search`); config_hash identifies it."""
+
+    epochs: int = spec(50, min=1)
+    train_batch: int = spec(32, min=1)
+    val_batch: int = spec(32, min=1)
+    seed: int = spec(0, min=0)
+    tier: str = spec("relax", choices=TIERS)
+    split_ratio: float = spec(0.5, above=0, below=1)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
-    def __post_init__(self):
-        self.layout = tuple(self.layout)
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.tier not in TIERS:
-            raise ValueError(f"tier must be one of {TIERS}, got {self.tier!r}")
-        if isinstance(self.optimizer, dict):
-            self.optimizer = OptimizerConfig(**self.optimizer)
-
     def supernet_config(self, num_classes, input_channels):
-        return SupernetConfig(
-            num_cells=self.num_cells,
-            layout=self.layout,
-            init_channels=self.init_channels,
-            num_classes=num_classes,
-            input_channels=input_channels,
-            independent_alpha=self.tier in ("alpha", "relax"),
-            use_gates=self.tier == "relax",
-            gate_scale=self.gate_scale,
-            gate_threshold=self.gate_threshold,
-        )
-
-    def to_dict(self):
-        d = asdict(self)
-        d["layout"] = list(self.layout)
-        d["optimizer"] = self.optimizer.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if isinstance(d.get("optimizer"), dict):
-            d["optimizer"] = OptimizerConfig(**d["optimizer"])
-        d["layout"] = tuple(d.get("layout", DEFAULT_LAYOUT))
-        return cls(**d)
+        stack = {f.name: getattr(self, f.name) for f in fields(CellStackConfig)}
+        return SupernetConfig(**stack, num_classes=num_classes, input_channels=input_channels,
+                              independent_alpha=self.tier in ("alpha", "relax"),
+                              use_gates=self.tier == "relax")
 
     def config_hash(self):
         text = json.dumps(self.to_dict(), sort_keys=True)
@@ -158,7 +126,7 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
 
     if resume_from is not None:
         doc = load_checkpoint(resume_from, expect_kind="search")
-        saved = SearchRunConfig.from_dict(doc["config"])
+        saved = SearchRunConfig.from_dict(doc["config"], "config")
         if saved.config_hash() != config.config_hash():
             raise CheckpointError("checkpoint was produced by a different search config")
         net.load_state_arrays(
@@ -173,7 +141,7 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
         os.makedirs(out_dir, exist_ok=True)
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.json"), "w") as fh:
+        with atomic_write(os.path.join(out_dir, "config.json")) as fh:
             json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
     log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None,
                  first_step=state.step)
@@ -199,7 +167,7 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
                 train_loss, val_loss = triple_step(net, tb, vb, state, lr)
             except NumericsError:
                 if out_dir:
-                    with open(os.path.join(out_dir, "abort.json"), "w") as fh:
+                    with atomic_write(os.path.join(out_dir, "abort.json")) as fh:
                         json.dump({"epoch": epoch, "step": step_id,
                                    "reason": "non-finite loss or gradient"}, fh)
                 raise
@@ -210,18 +178,16 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
 
         state.epoch = epoch + 1
         epoch_val = float(np.mean(val_losses))
+        improved = epoch_val < best_val
+        best_val = min(best_val, epoch_val)  # before last.json, so a resume sees it
         if ckpt_dir:
-            _write_checkpoint(os.path.join(ckpt_dir, "last.json"),
-                              config, net, state, best_val, split_hash)
-        if epoch_val < best_val:
-            best_val = epoch_val
-            if ckpt_dir:
-                _write_checkpoint(os.path.join(ckpt_dir, "best.json"),
+            for name in ("last.json", "best.json") if improved else ("last.json",):
+                _write_checkpoint(os.path.join(ckpt_dir, name),
                                   config, net, state, best_val, split_hash)
 
     genotype = _derive(net, config)
     if out_dir:
-        with open(os.path.join(out_dir, "genotype.json"), "w") as fh:
+        with atomic_write(os.path.join(out_dir, "genotype.json")) as fh:
             fh.write(genotype.to_json())
     return genotype
 
@@ -229,6 +195,6 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
 def resume(checkpoint_path, dataset, out_dir=None, step_callback=None):
     """Continue a search from a checkpoint; same genotype as the full run."""
     doc = load_checkpoint(checkpoint_path, expect_kind="search")
-    config = SearchRunConfig.from_dict(doc["config"])
+    config = SearchRunConfig.from_dict(doc["config"], "config")
     return run_search(config, dataset, out_dir=out_dir,
                       resume_from=checkpoint_path, step_callback=step_callback)

@@ -14,12 +14,14 @@ Layout (documented for external readers):
                               "data": "<base64 of raw little-endian bytes>"} }
     }
 
-Saving writes a sibling temp file and renames it over the target, so a
-checkpoint on disk is always complete.  Loading validates the whole
-document before any state is touched.
+Saving goes through atomic_write, as every whole-file output of a run
+does: a sibling temp file renamed over the target, so a file on disk is
+always complete.  Loading validates the whole document before any state
+is touched.
 """
 
 import base64
+import contextlib
 import json
 import os
 
@@ -31,6 +33,21 @@ VERSION = 1
 
 class CheckpointError(RuntimeError):
     """Raised for unreadable, mismatched, or corrupted checkpoint files."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Write path through a sibling temp file renamed over it when the block
+    completes, so path holds its old content or the whole new file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def encode_array(a):
@@ -61,15 +78,8 @@ def save_checkpoint(path, kind, config, counters, arrays, extra=None):
         "extra": extra or {},
         "arrays": {name: encode_array(a) for name, a in arrays.items()},
     }
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, sort_keys=True)
 
 
 def load_checkpoint(path, expect_kind=None):

@@ -1,38 +1,29 @@
 """From-scratch training of a derived network with drop-path regularization."""
 
 import csv
-import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as D
 from . import functional as F
 from .autograd import Tensor, backward, reset_tape
+from .config import Config, spec
 from .optim import NumericsError, OptimizerConfig, clip_grad_norm, cosine_lr, SGD
 from .serialize import save_checkpoint
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 300
-    batch: int = 32
-    drop_path_p: float = 0.3
-    seed: int = 0
+class TrainConfig(Config):
+    """Final training of a derived network (config section `train`)."""
+
+    epochs: int = spec(300, min=0)
+    batch: int = spec(32, min=1)
+    drop_path_p: float = spec(0.3, min=0, below=1)
+    seed: int = spec(0, min=0)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-    def __post_init__(self):
-        if not 0 <= self.drop_path_p < 1:
-            raise ValueError("drop_path_p must be in [0, 1)")
-        if isinstance(self.optimizer, dict):
-            self.optimizer = OptimizerConfig(**self.optimizer)
-
-    def to_dict(self):
-        d = asdict(self)
-        d["optimizer"] = self.optimizer.to_dict()
-        return d
 
 
 def drop_path(x, p, training, rng):
@@ -150,7 +141,7 @@ def load_trained(path):
 
     doc = load_checkpoint(path, expect_kind="train")
     genotype = Genotype.from_json_dict(doc["config"]["genotype"])
-    sup_cfg = SupernetConfig.from_dict(doc["config"]["supernet"])
+    sup_cfg = SupernetConfig.from_dict(doc["config"]["supernet"], "config.supernet")
     net = DiscreteNetwork(genotype, sup_cfg, seed=0)
     net.load_state_arrays(
         {k[4:]: v for k, v in doc["arrays"].items() if k.startswith("net:")})

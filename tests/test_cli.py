@@ -290,3 +290,95 @@ def test_unknown_config_key_is_data_error(tmp_path, capsys, doc, name):
                     "--epochs", "1", "--out", out]) == 3
     assert f"unknown key {name}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+BAD_CONFIGS = [
+    # (command, flags, config file, key named, flag named)
+    ("search", [], {"search": {"epochs": "2"}}, "search.epochs", None),
+    ("search", [], {"search": {"epochs": True}}, "search.epochs", None),
+    ("search", ["--epochs", "0"], {}, "search.epochs", "--epochs"),
+    ("search", [], {"search": {"tier": "nonsense"}}, "search.tier", None),
+    ("search", [], {"search": {"gate_scale": 3.0}}, "search.gate_scale", None),
+    ("search", [], {"search": {"optimizer": {"arch_lr": float("nan")}}},
+     "search.optimizer.arch_lr", None),
+    ("search", ["--xi", "inf"], {}, "search.optimizer.xi", "--xi"),
+    ("search", ["--threshold", "1.5"], {}, "search.gate_threshold", "--threshold"),
+    ("search", ["--split-ratio", "1"], {}, "search.split_ratio", "--split-ratio"),
+    ("search", [], {"search": {"layout": "normal"}}, "search.layout", None),
+    ("train", ["--drop-path", "1"], {}, "train.drop_path_p", "--drop-path"),
+    ("train", ["--init-channels", "0"], {}, "train.init_channels", "--init-channels"),
+    ("train", [], {"train": {"init_channels": 4.0}}, "train.init_channels", None),
+    ("train", [], {"train": {"batch": False}}, "train.batch", None),
+    ("train", [], {"train": {"optimizer": {"momentum": 1.0}}},
+     "train.optimizer.momentum", None),
+    ("train", ["--window", "0"], {}, "data.window", "--window"),
+    ("train", [], {"data": {"stride": -1}}, "data.stride", None),
+    ("eval", ["--batch", "0"], {}, "eval.batch", "--batch"),
+    ("eval", [], {"eval": {"batch": 64}}, "eval", None),
+    ("eval", ["--synth-subjects", "1"], {}, "data.synth_subjects", "--synth-subjects"),
+    ("eval", [], {"data": {"synth_sessions": "2"}}, "data.synth_sessions", None),
+    ("ablate", ["--search-epochs", "0"], {}, "search.epochs", "--search-epochs"),
+    ("ablate", ["--train-epochs", "-1"], {}, "train.epochs", "--train-epochs"),
+    ("ablate", ["--seed", "-3"], {}, "search.seed", "--seed"),
+    ("ablate", [], {"train": {"seed": 1.5}}, "train.seed", None),
+    ("ablate", [], {"search": {"train_batch": None}}, "search.train_batch", None),
+]
+
+
+@pytest.mark.parametrize("command, flags, doc, key, flag", BAD_CONFIGS)
+def test_bad_config_value_is_data_error_naming_key(tmp_path, capsys, command, flags,
+                                                   doc, key, flag):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(doc))
+    inputs = {"train": ["--genotype", tmp_path / "geno.json"],
+              "eval": ["--weights", tmp_path / "weights.json"]}.get(command, [])
+    out = tmp_path / "out"
+    assert run_cli([command, *MICRO_DATA, *inputs, *flags, "--config", cfg,
+                    "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    if flag:
+        assert f"(set by {flag})" in err
+    else:
+        assert "set by" not in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "abc"], ["--gate-scale", "3"],
+                                   ["--seed", "1.5"]])
+def test_unparsable_flag_is_usage_error(tmp_path, flags):
+    assert run_cli(["search", *MICRO_DATA, *flags, "--out", tmp_path / "x"]) == 2
+
+
+def test_file_seed_and_flag_seed_train_on_the_same_data(tmp_path):
+    geno = _searched_genotype(tmp_path)
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"train": {"seed": 5}}))
+    runs = {"file": ["--config", cfg], "flag": ["--seed", "5"]}
+    for name, flags in runs.items():
+        assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                        "--epochs", "2", *flags, "--out", tmp_path / name]) == 0
+    for output in ("weights.json", "log.csv"):
+        assert (tmp_path / "file" / output).read_bytes() == \
+            (tmp_path / "flag" / output).read_bytes(), output
+    seeds = [json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+             ["data"]["seed"] for name in runs]
+    assert seeds == [5, 5]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("supernet", "init_chanels", 4),
+    ("supernet", "num_classes", "4"),
+    ("train", "seed", True),
+])
+def test_bad_checkpoint_config_is_data_error(tmp_path, capsys, section, key, value):
+    geno = _searched_genotype(tmp_path)
+    weights = tmp_path / "train" / "weights.json"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                    "--epochs", "0", "--out", weights.parent]) == 0
+    doc = json.loads(weights.read_text())
+    doc["config"][section][key] = value
+    weights.write_text(json.dumps(doc))
+    assert run_cli(["eval", *MICRO_DATA, "--weights", weights,
+                    "--out", tmp_path / "eval"]) == 3
+    assert repr(f"config.{section}.{key}") in capsys.readouterr().err

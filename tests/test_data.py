@@ -107,6 +107,26 @@ def test_window_too_long_names_records():
         make_windows(records, 64, 32)
 
 
+def test_long_nan_gap_skips_short_segment():
+    # an 80-sample gap at 300-380 of a 400-sample record leaves 20 samples
+    # after it: too few for a 128-sample window, so that segment is skipped
+    rng = np.random.default_rng(5)
+    rows = []
+    for subject in ("S0", "S1"):
+        for session in (1, 2):
+            values = rng.standard_normal((400, 2))
+            if (subject, session) == ("S0", 1):
+                values[300:380] = np.nan
+            rows += [f"{subject},{session},{a},{b}" for a, b in values.tolist()]
+    records = ingest_csv_text("subject,session,ch0,ch1\n" + "\n".join(rows) + "\n")
+    assert sorted(r.length for r in records if (r.subject_id, r.session_id) == ("S0", 1)) \
+        == [20, 300]
+    ds = make_windows(records, 128, 64)
+    s0_first = (ds.labels == 0) & (ds.sessions == 1)
+    assert s0_first.sum() == 3  # windows at 0, 64 and 128 of the 300-sample segment
+    assert ds.sessions.tolist().count(1) == 3 + 5
+
+
 def test_z_normalization_uses_session1_statistics_only():
     records = _flat_records(length=200)
     # bias session 2 so its stats differ

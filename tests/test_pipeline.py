@@ -1,0 +1,104 @@
+"""A fixed-seed micro pipeline through the CLI, pinned by the sha256 of its outputs.
+
+It runs a relax search, a darts search at xi=0.01, then train and eval of
+the relax genotype and of a genotype that uses every op and prunes one
+input.  Any change to what the program computes or writes moves a hash;
+a change meant to keep the outputs (a refactor, a faster kernel) must
+leave every hash as it is.  The hashes were captured with numpy 2.4 on
+x86-64.
+"""
+
+import hashlib
+import json
+
+from seqnas.cli import main
+
+DATA = ["--synthetic", "--synth-subjects", "4", "--synth-length", "192",
+        "--window", "64", "--stride", "32"]
+CONFIG = {"search": {"num_cells": 2, "layout": ["normal", "reduction"],
+                     "train_batch": 8, "val_batch": 8}}
+OPS = ("none", "skip_connect", "max_pool_3", "avg_pool_3", "sep_conv_3",
+       "sep_conv_5", "dil_conv_3", "dil_conv_5")
+
+
+def every_op_genotype():
+    """Two cells whose 16 edges use every op; the reduction cell prunes s0."""
+    used = OPS[1:] * 3
+    cells = []
+    for ci, kind in enumerate(("normal", "reduction")):
+        nodes = [[{"op": used[8 * ci + 2 * j], "from": 0},
+                  {"op": used[8 * ci + 2 * j + 1], "from": j + 1}] for j in range(4)]
+        pruned = [ci == 1, False]
+        cells.append({"kind": kind, "nodes": nodes,
+                      "gates": {"s0": 0.1 if pruned[0] else 1.0,
+                                "s1": 1.9 if pruned[0] else 1.0, "pruned": pruned}})
+    return {"cells": cells, "vocab": list(OPS), "meta": {"seed": 0}}
+
+
+def run(args):
+    assert main([str(a) for a in args]) == 0, args
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_pipeline(root):
+    """Every pinned output of the pipeline, by its path under root."""
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    common = [*DATA, "--init-channels", "4", "--config", cfg]
+    run(["search", *common, "--tier", "relax", "--epochs", "3", "--seed", "7",
+         "--out", root / "relax"])
+    run(["search", *common, "--tier", "darts", "--xi", "0.01", "--epochs", "3",
+         "--seed", "7", "--out", root / "darts"])
+    (root / "every_op.json").write_text(json.dumps(every_op_genotype()))
+    for name, genotype in (("relax", root / "relax" / "genotype.json"),
+                           ("every_op", root / "every_op.json")):
+        run(["train", *common, "--genotype", genotype, "--epochs", "3", "--seed", "5",
+             "--out", root / f"train_{name}"])
+        run(["eval", *DATA, "--weights", root / f"train_{name}" / "weights.json",
+             "--out", root / f"eval_{name}"])
+    outputs = [f"{tier}/{name}" for tier in ("relax", "darts")
+               for name in ("genotype.json", "checkpoints/last.json", "log.csv")]
+    outputs += [f"{stage}_{name}/{out}" for name in ("relax", "every_op")
+                for stage, outs in (("train", ("log.csv", "weights.json")),
+                                    ("eval", ("metrics.json", "det.csv")))
+                for out in outs]
+    return {out: sha256(root / out) for out in outputs}
+
+
+PINNED = {
+    "relax/genotype.json":
+        "4b01dc7b343d692d8f4f1670ce560805f008e14585835e535c2306f9cb5426b5",
+    "relax/checkpoints/last.json":
+        "43c816d4b1588a42c50d77c1600d775adcb6f6d7fd4ad0edfece72ca40d1d45f",
+    "relax/log.csv":
+        "59534072e3b121724d48a1e31c53a191502d89433a0d809da2a589a410bc9147",
+    "darts/genotype.json":
+        "b446122cc76579e5c5348157754832ca475821f1c1ae200efe64aa5bbcd65fbb",
+    "darts/checkpoints/last.json":
+        "dd87852b5e49c0cb8c82611f19ebf0ca6714d71b0178c031c2fd2f16fa8e37b4",
+    "darts/log.csv":
+        "ad6b1758737c19804ac9ef5e41e4509fec1907ebbbba4ca3d6d806dc6cd9da34",
+    "train_relax/log.csv":
+        "0952a077f2995606aca092486f22b9de10090534600763295690c891dc86f58c",
+    "train_relax/weights.json":
+        "881cdd9eeabfd60fbb5593859799ab14cd096db1b7c088dda7f09fdb331c2054",
+    "eval_relax/metrics.json":
+        "ada544a2aa313657d0c7226e7475a78740e598350bd80e021d874f32e822a1fa",
+    "eval_relax/det.csv":
+        "b36696062d8f44f3de1bdcce19221be81585d84aa83ba6c551859c18b4f3a610",
+    "train_every_op/log.csv":
+        "936c27d3fbfc1eca96932d77725ec80d94ec5a55ecffcf4b34b0b3b5fd09d9b3",
+    "train_every_op/weights.json":
+        "a040f75a024037245c891c30ef6eb0f3dc97fcd951ce33bf0f14352174cf72ff",
+    "eval_every_op/metrics.json":
+        "83d91642585c3d6bab734f379c92b0e6f9505dda0381307f087b438780936779",
+    "eval_every_op/det.csv":
+        "dca6e4362546f7681e72101c575e4d48740b0585ae63933dd937b56689cbc326",
+}
+
+
+def test_micro_pipeline_outputs_pinned(tmp_path):
+    assert run_pipeline(tmp_path) == PINNED

@@ -123,6 +123,32 @@ def test_resume_matches_uninterrupted_run(tmp_path):
             (tmp_path / "part" / name).read_bytes(), name
 
 
+def test_resume_into_own_directory_keeps_checkpoint_bytes(tmp_path):
+    """last.json carries the best validation loss of the epochs it covers, so a
+    resume picks the same best epoch as the uninterrupted run."""
+    import hashlib
+
+    ds = micro_dataset(seed=3)
+    run_search(micro_config(epochs=4, seed=7), ds, out_dir=str(tmp_path / "full"))
+
+    class Stop(Exception):
+        pass
+
+    def stopper(net, state, tl, vl):
+        if state.epoch >= 3:
+            raise Stop()
+
+    part = tmp_path / "part"
+    with pytest.raises(Stop):
+        run_search(micro_config(epochs=4, seed=7), ds, out_dir=str(part),
+                   step_callback=stopper)
+    resume(str(part / "checkpoints" / "last.json"), ds, out_dir=str(part))
+    for name in ("last.json", "best.json"):
+        digests = [hashlib.sha256((d / "checkpoints" / name).read_bytes()).hexdigest()
+                   for d in (tmp_path / "full", part)]
+        assert digests[0] == digests[1], name
+
+
 def test_resume_from_final_checkpoint_returns_immediately(tmp_path):
     ds = micro_dataset()
     cfg = micro_config(epochs=2)
@@ -192,6 +218,20 @@ def test_resume_rejects_config_mismatch(tmp_path):
     other = micro_config(epochs=3, seed=1)
     with pytest.raises(CheckpointError, match="different search config"):
         run_search(other, ds, resume_from=ckpt)
+
+
+def test_checkpoint_config_is_checked_on_resume(tmp_path):
+    from seqnas.config import ConfigError
+
+    ds = micro_dataset()
+    out = tmp_path / "x"
+    run_search(micro_config(epochs=1), ds, out_dir=str(out))
+    ckpt = out / "checkpoints" / "last.json"
+    doc = json.loads(ckpt.read_text())
+    doc["config"]["optimizer"]["x1"] = 0.01
+    ckpt.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="unknown key 'config.optimizer.x1'"):
+        resume(str(ckpt), ds)
 
 
 def test_nan_loss_aborts_with_checkpoint(tmp_path):
