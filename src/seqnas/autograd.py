@@ -8,6 +8,7 @@ every tensor that requires them.
 """
 
 import contextlib
+import itertools
 import threading
 
 import numpy as np
@@ -88,12 +89,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
-    def numpy(self):
-        return self.data
-
     def zero_grad(self):
         self.grad = None
 
@@ -102,12 +97,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False, name=self.name)
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -131,8 +120,6 @@ class Node:
         self.backward_fn = backward_fn
 
 
-import itertools
-
 _tape_ids = itertools.count(1)
 
 
@@ -146,28 +133,28 @@ class Tape:
         self.consumed = False
         self.id = next(_tape_ids)
 
-    def record(self, node):
-        self.nodes.append(node)
-
     def backward(self, loss):
+        """Reverse sweep that pops each node and clears its output's .grad (but the
+        loss's) as it pulls back, so only leaf tensors keep a gradient after it."""
         if loss.size != 1:
             raise TapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if not self.nodes:
-            raise TapeError("backward on an empty tape: no primitive was recorded")
         if self.consumed:
             raise TapeError("backward already ran on this tape; reset the tape first")
+        if not self.nodes:
+            raise TapeError("backward on an empty tape: no primitive was recorded")
         if loss.tape_id != self.id:
             raise TapeError(
                 "loss was recorded on a tape that is no longer current "
                 "(reset or already consumed); recompute the loss"
             )
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            g = node.out.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
         self.consumed = True
+        while self.nodes:
+            node = self.nodes.pop()
+            g = node.out.grad
+            if g is not None:
+                node.out.grad = g if node.out is loss else None
+                node.backward_fn(g)
 
 
 def tape():
@@ -216,5 +203,5 @@ def record(op, inputs, out, backward_fn):
         st.tape = Tape()
     out.requires_grad = True
     out.tape_id = st.tape.id
-    st.tape.record(Node(op, inputs, out, backward_fn))
+    st.tape.nodes.append(Node(op, inputs, out, backward_fn))
     return out

@@ -25,8 +25,8 @@ from .cell import Genotype, GenotypeError
 from .config import Config, ConfigError, declared, spec
 from .network import NetworkError, SupernetConfig, instantiate_discrete
 from .optim import NumericsError, OptimizerConfig
-from .search import SearchRunConfig, run_search
-from .serialize import CheckpointError, atomic_write, load_checkpoint
+from .search import SearchRunConfig, run_search, search_split
+from .serialize import CheckpointError, atomic_write
 from .train import TrainConfig, load_trained, save_trained, train_final
 
 
@@ -183,7 +183,8 @@ def _search_flags(parser):
             _flag(parser, "--split-ratio", "search.split_ratio")]
 
 
-def _build_dataset(args, cfg, seed):
+def _build_dataset(args, cfg, seed, test_session=False):
+    """(dataset, description, input hash); test_session requires session-2 windows."""
     if args.data:
         schema = D.CsvSchema(
             subject_col=args.subject_col or "subject",
@@ -208,6 +209,8 @@ def _build_dataset(args, cfg, seed):
         input_hash = hashlib.sha256(
             json.dumps(desc, sort_keys=True).encode()).hexdigest()
     dataset = D.make_windows(records, cfg.window, cfg.stride)
+    if test_session and not (dataset.sessions == 2).any():
+        raise D.DataError("dataset has no session-2 windows to test on")
     return dataset, desc, input_hash
 
 
@@ -282,8 +285,6 @@ def cmd_train(args):
 def _evaluate(net, dataset, batch_size):
     sess1 = dataset.session_view(1)
     sess2 = dataset.session_view(2)
-    if len(sess2) == 0:
-        raise D.DataError("dataset has no session-2 windows to test on")
     emb1 = M.embed(net, sess1.windows, batch_size)
     emb2 = M.embed(net, sess2.windows, batch_size)
     scores = M.score_protocol(emb1, sess1.labels, emb2, sess2.labels)
@@ -299,7 +300,7 @@ def cmd_eval(args):
             f"--init-channels {args.init_channels} disagrees with the "
             f"checkpoint, which was trained with {trained_channels}")
     seed = TrainConfig.from_dict(doc["config"]["train"], "config.train").seed
-    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], seed)
+    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], seed, test_session=True)
     batch = cfg["eval"].batch
     out = args.out
     write_manifest(
@@ -339,7 +340,7 @@ def cmd_ablate(args):
     # --init-channels sets the search width; training defaults to it
     tcfg, train_width = _train_config(cfg["train"], search.init_channels)
     seed = search.seed
-    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], seed)
+    dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], seed, test_session=True)
 
     out = args.out
     write_manifest(
@@ -357,8 +358,7 @@ def cmd_ablate(args):
         config = dataclasses.replace(search, tier=tier)
         tier_dir = os.path.join(out, tier)
         genotype = run_search(config, dataset, out_dir=tier_dir)
-        ckpt = os.path.join(tier_dir, "checkpoints", "last.json")
-        split_hashes[tier] = load_checkpoint(ckpt)["extra"]["split_hash"]
+        _, _, split_hashes[tier] = search_split(config, dataset)
 
         net = _discrete_network(genotype, dataset, train_width, tcfg.seed)
         # training gets its own directory so the search's log.csv survives

@@ -372,6 +372,11 @@ def synth_generate(num_subjects, sessions=2, length=1920, channels=2, seed=0):
     return records
 
 
+def epoch_order(seed, epoch, n, stream):
+    """One epoch's batch order, seeded by (seed, epoch, stream) so resumes match."""
+    return np.random.default_rng([int(seed), int(epoch), int(stream)]).permutation(n)
+
+
 def batches(dataset, batch_size, order=None):
     """Yield (Tensor(B,C,T), labels) batches in the given index order."""
     order = np.arange(len(dataset)) if order is None else np.asarray(order)

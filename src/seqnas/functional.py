@@ -209,6 +209,16 @@ def _taps(xp, k, stride, dilation, t_out):
     return [xp[:, :, j * dilation : j * dilation + hi : stride] for j in range(k)]
 
 
+def _untap(x, pad, tap_grads, stride, dilation, t_out):
+    """Adjoint of _taps then unpadding: sum the per-tap gradients, in order,
+    into a padded buffer and accumulate its interior into x."""
+    dxp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad,), dtype=x.data.dtype)
+    hi = (t_out - 1) * stride + 1
+    for j, gj in enumerate(tap_grads):
+        dxp[:, :, j * dilation : j * dilation + hi : stride] += gj
+    x.accumulate_grad(dxp[:, :, pad : pad + x.shape[2]] if pad else dxp)
+
+
 def _pad_time(x, pad, fill=0.0):
     """Zero/constant padding on the time axis (faster than np.pad)."""
     if pad == 0:
@@ -265,11 +275,7 @@ def conv1d(x, w, stride=1, dilation=1):
             w.accumulate_grad(gw.reshape(c_out, C, k))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g).reshape(B, C, k, t_out)
-            dxp = np.zeros_like(xp)
-            hi = (t_out - 1) * stride + 1
-            for j in range(k):
-                dxp[:, :, j * dilation : j * dilation + hi : stride] += dcols[:, :, j, :]
-            x.accumulate_grad(dxp[:, :, pad : pad + T] if pad else dxp)
+            _untap(x, pad, (dcols[:, :, j, :] for j in range(k)), stride, dilation, t_out)
 
     return record("conv1d", (x, w), out, backward_fn)
 
@@ -287,8 +293,9 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
     xp = _pad_time(x.data, pad)
     taps = _taps(xp, k, stride, dilation, t_out)
     acc = w.data[None, :, 0, None] * taps[0]
+    prod = np.empty_like(acc)
     for j in range(1, k):
-        acc = acc + w.data[None, :, j, None] * taps[j]
+        acc += np.multiply(w.data[None, :, j, None], taps[j], out=prod)
     out = Tensor(acc)
 
     def backward_fn(g):
@@ -296,13 +303,9 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
             gw = np.stack([np.einsum("bct,bct->c", g, tap) for tap in taps], axis=1)
             w.accumulate_grad(gw)
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            hi = (t_out - 1) * stride + 1
-            for j in range(k):
-                dxp[:, :, j * dilation : j * dilation + hi : stride] += (
-                    w.data[None, :, j, None] * g
-                )
-            x.accumulate_grad(dxp[:, :, pad : pad + T] if pad else dxp)
+            prod = np.empty_like(g)
+            _untap(x, pad, (np.multiply(w.data[None, :, j, None], g, out=prod)
+                            for j in range(k)), stride, dilation, t_out)
 
     return record("depthwise_conv1d", (x, w), out, backward_fn)
 
@@ -315,7 +318,7 @@ def separable_conv1d(x, w_dw, w_pw, stride=1, dilation=1):
 def max_pool1d(x, kernel=3, stride=1):
     x = _tensor(x)
     _shape_check(x.ndim == 3, "max_pool1d", f"input must be (B,C,T), got {x.shape}")
-    B, C, T = x.shape
+    T = x.shape[2]
     pad, t_out = _conv_geometry("max_pool1d", T, kernel, stride, 1)
     xp = _pad_time(x.data, pad, fill=-np.inf)
     taps = _taps(xp, kernel, stride, 1, t_out)
@@ -327,14 +330,11 @@ def max_pool1d(x, kernel=3, stride=1):
     def backward_fn(g):
         if not x.requires_grad:
             return
-        dxp = np.zeros((B, C, T + 2 * pad), dtype=x.data.dtype)
-        hi = (t_out - 1) * stride + 1
-        claimed = np.zeros_like(m, dtype=bool)
-        for j in range(kernel):
-            hit = (taps[j] == m) & ~claimed  # ties route to the earliest tap
-            dxp[:, :, j : j + hi : stride] += g * hit
-            claimed |= hit
-        x.accumulate_grad(dxp[:, :, pad : pad + T] if pad else dxp)
+        hits, claimed = [], np.zeros_like(m, dtype=bool)
+        for tap in taps:
+            hits.append((tap == m) & ~claimed)  # ties route to the earliest tap
+            claimed |= hits[-1]
+        _untap(x, pad, (g * hit for hit in hits), stride, 1, t_out)
 
     return record("max_pool1d", (x,), out, backward_fn)
 
@@ -343,7 +343,7 @@ def avg_pool1d(x, kernel=3, stride=1):
     """Average pooling that divides by the count of in-bounds taps only."""
     x = _tensor(x)
     _shape_check(x.ndim == 3, "avg_pool1d", f"input must be (B,C,T), got {x.shape}")
-    B, C, T = x.shape
+    T = x.shape[2]
     pad, t_out = _conv_geometry("avg_pool1d", T, kernel, stride, 1)
     xp = _pad_time(x.data, pad)
     valid = np.zeros(T + 2 * pad, dtype=x.data.dtype)
@@ -356,11 +356,8 @@ def avg_pool1d(x, kernel=3, stride=1):
     def backward_fn(g):
         if not x.requires_grad:
             return
-        dxp = np.zeros_like(xp)
         gc = g / counts
-        for j in range(kernel):
-            dxp[:, :, j : j + hi : stride] += gc
-        x.accumulate_grad(dxp[:, :, pad : pad + T] if pad else dxp)
+        _untap(x, pad, [gc] * kernel, stride, 1, t_out)
 
     return record("avg_pool1d", (x,), out, backward_fn)
 
@@ -420,7 +417,8 @@ def channel_norm(x, gamma, beta, eps=1e-5, use_batch_stats=True,
         xc = x.data - mean[None, :, None]
 
     inv_std = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = xc * inv_std[None, :, None]
+    xhat = xc  # xc is not read again: normalise it in place
+    xhat *= inv_std[None, :, None]
     out = Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None])
 
     def backward_fn(g):
@@ -433,11 +431,12 @@ def channel_norm(x, gamma, beta, eps=1e-5, use_batch_stats=True,
             if use_batch_stats:
                 mean_gs = gs.mean(axis=(0, 2))
                 mean_gs_xhat = np.einsum("bct,bct->c", gs, xhat) / n_stat
-                dx = inv_std[None, :, None] * (
-                    gs - mean_gs[None, :, None] - xhat * mean_gs_xhat[None, :, None]
-                )
+                # inv_std * (gs - mean_gs - xhat * mean_gs_xhat), in place in gs
+                dx = np.subtract(gs, mean_gs[None, :, None], out=gs)
+                dx -= xhat * mean_gs_xhat[None, :, None]
+                dx *= inv_std[None, :, None]
             else:
-                dx = gs * inv_std[None, :, None]
+                dx = np.multiply(gs, inv_std[None, :, None], out=gs)
             x.accumulate_grad(dx)
 
     return record("channel_norm", (x, gamma, beta), out, backward_fn)

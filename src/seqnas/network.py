@@ -21,6 +21,7 @@ from .cell import (NUM_EDGES, DiscreteCell, SearchCell, derive_genotype,
 from .config import Config, spec
 from .module import Module
 from .ops import ChannelNorm, OP_VOCAB
+from .serialize import load_arrays
 
 NODE_MULTIPLIER = 4  # cell output concatenates 4 intermediate nodes
 
@@ -142,21 +143,7 @@ class _Backbone(Module):
         return out
 
     def load_state_arrays(self, arrays):
-        state = self.state_arrays()
-        missing = set(state) - set(arrays)
-        extra = set(arrays) - set(state)
-        if missing or extra:
-            raise NetworkError(
-                f"checkpoint/network mismatch: missing={sorted(missing)[:4]} "
-                f"extra={sorted(extra)[:4]}"
-            )
-        for name, dst in state.items():
-            src = np.asarray(arrays[name])
-            if src.shape != dst.shape:
-                raise NetworkError(
-                    f"checkpoint tensor {name}: shape {src.shape} vs {dst.shape}"
-                )
-            dst[...] = src.astype(dst.dtype)
+        load_arrays(self.state_arrays(), arrays, NetworkError)
 
 
 class Supernet(_Backbone):

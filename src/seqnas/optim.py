@@ -6,6 +6,11 @@ gradient, then the network weights from the training gradient.  With
 xi > 0 the architecture gradients are taken at the virtually advanced
 weights w - xi * grad_w L_train, with the second-order term recovered by a
 central finite difference over the weights.
+
+Every gradient comes from one pass (`_pass`: fresh tape, every gradient
+cleared, loss, backward) that freezes what it does not need: the arch pass
+and the Hessian probes freeze the weights, the weight pass and the first
+unrolled pass alpha and beta.  Clipping and the probe share `_global_norm`.
 """
 
 import math
@@ -16,6 +21,7 @@ import numpy as np
 from . import functional as F
 from .autograd import backward, reset_tape
 from .config import Config, spec
+from .serialize import load_arrays
 
 
 class NumericsError(RuntimeError):
@@ -48,22 +54,19 @@ def cosine_lr(t, total, lr0):
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * t / total))
 
 
-def _grad_or_zero(p):
-    return p.grad if p.grad is not None else np.zeros_like(p.data)
-
-
 def _check_finite_grad(p):
     if p.grad is not None and not np.all(np.isfinite(p.grad)):
         raise NumericsError(f"non-finite gradient for parameter {p.name!r}")
 
 
+def _global_norm(arrays):
+    """The L2 norm of all arrays together, summed in float64."""
+    return math.sqrt(sum(float(np.sum(np.square(a, dtype=np.float64))) for a in arrays))
+
+
 def clip_grad_norm(params, max_norm):
     """Scale gradients in place so their global L2 norm is at most max_norm."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
-    norm = math.sqrt(total)
+    norm = _global_norm(p.grad for p in params if p.grad is not None)
     if norm > max_norm:
         coef = max_norm / (norm + 1e-6)
         for p in params:
@@ -90,16 +93,8 @@ class SGD:
             v += p.grad + self.weight_decay * p.data
             p.data -= lr * v
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def state_arrays(self, prefix):
         return {f"{prefix}:{p.name}": v for p, v in zip(self.params, self.buffers)}
-
-    def load_state_arrays(self, arrays, prefix):
-        for p, v in zip(self.params, self.buffers):
-            v[...] = np.asarray(arrays[f"{prefix}:{p.name}"]).astype(v.dtype)
 
 
 class Adam:
@@ -133,21 +128,12 @@ class Adam:
             vhat = v / (1 - b2 ** self.t)
             p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def state_arrays(self, prefix):
         out = {}
         for p, m, v in zip(self.params, self.m, self.v):
             out[f"{prefix}:m:{p.name}"] = m
             out[f"{prefix}:v:{p.name}"] = v
         return out
-
-    def load_state_arrays(self, arrays, prefix):
-        for p, m, v in zip(self.params, self.m, self.v):
-            m[...] = np.asarray(arrays[f"{prefix}:m:{p.name}"]).astype(m.dtype)
-            v[...] = np.asarray(arrays[f"{prefix}:v:{p.name}"]).astype(v.dtype)
 
 
 @dataclass
@@ -169,10 +155,7 @@ class TripleState:
         return out
 
     def load_state_arrays(self, arrays):
-        self.w_opt.load_state_arrays(arrays, "w")
-        self.alpha_opt.load_state_arrays(arrays, "alpha")
-        if self.beta_opt is not None:
-            self.beta_opt.load_state_arrays(arrays, "beta")
+        load_arrays(self.state_arrays(), arrays)
 
     def counters(self):
         return {
@@ -206,13 +189,31 @@ def _batch_loss(net, batch):
     return F.cross_entropy(net.forward(x), y)
 
 
-def _zero_all(net):
-    for p in net.weight_parameters():
+def _pass(net, batch, frozen=()):
+    """Fresh tape, every weight, alpha and beta gradient cleared, loss, backward; the
+    frozen parameters get no gradient, and every other one is bitwise unchanged."""
+    reset_tape()
+    for p in net.weight_parameters() + net.arch_parameters() + net.gate_parameters():
         p.zero_grad()
-    for p in net.arch_parameters():
-        p.zero_grad()
-    for p in net.gate_parameters():
-        p.zero_grad()
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        loss = _batch_loss(net, batch)
+        backward(loss)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
+    return float(loss.data)
+
+
+def _grads(params):
+    """Copies of the params' gradients, zeros where a param got none."""
+    return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+
+
+def _set_weights(params, arrays):
+    for p, a in zip(params, arrays):
+        p.data = a
 
 
 def _arch_grads_unrolled(net, train_batch, val_batch, xi, hessian_eps=1e-4):
@@ -221,52 +222,31 @@ def _arch_grads_unrolled(net, train_batch, val_batch, xi, hessian_eps=1e-4):
     The mixed second-derivative term is approximated by a central finite
     difference of the training gradient around the original weights, with
     the probe direction given by the validation weight gradient and the
-    probe length hessian_eps / ||grad||.
+    probe length hessian_eps / ||grad||.  Weights are rebound, never written
+    in place, so w_orig keeps the original arrays.
     """
     ws = net.weight_parameters()
     arch = net.arch_parameters() + net.gate_parameters()
+    w_orig = [p.data for p in ws]
 
-    reset_tape()
-    _zero_all(net)
-    backward(_batch_loss(net, train_batch))
-    g_train = [_grad_or_zero(p).copy() for p in ws]
+    _pass(net, train_batch, frozen=arch)
+    _set_weights(ws, [w - xi * g for w, g in zip(w_orig, _grads(ws))])
+    val_loss = _pass(net, val_batch)
+    d_arch, g_val_w = _grads(arch), _grads(ws)
 
-    w_orig = [p.data.copy() for p in ws]
-    for p, g in zip(ws, g_train):
-        p.data -= xi * g
-
-    reset_tape()
-    _zero_all(net)
-    val_loss = _batch_loss(net, val_batch)
-    backward(val_loss)
-    d_arch = [_grad_or_zero(p).copy() for p in arch]
-    g_val_w = [_grad_or_zero(p).copy() for p in ws]
-
-    norm = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64)))
-                         for g in g_val_w))
-    for p, w0 in zip(ws, w_orig):
-        p.data = w0.copy()
+    norm = _global_norm(g_val_w)
     if norm > 0:
         eps = hessian_eps / norm
-
-        def train_arch_grads():
-            reset_tape()
-            _zero_all(net)
-            backward(_batch_loss(net, train_batch))
-            return [_grad_or_zero(p).copy() for p in arch]
-
-        for p, w0, gv in zip(ws, w_orig, g_val_w):
-            p.data = w0 + eps * gv
-        plus = train_arch_grads()
-        for p, w0, gv in zip(ws, w_orig, g_val_w):
-            p.data = w0 - eps * gv
-        minus = train_arch_grads()
-        for p, w0 in zip(ws, w_orig):
-            p.data = w0
+        _set_weights(ws, [w0 + eps * gv for w0, gv in zip(w_orig, g_val_w)])
+        _pass(net, train_batch, frozen=ws)
+        plus = _grads(arch)
+        _set_weights(ws, [w0 - eps * gv for w0, gv in zip(w_orig, g_val_w)])
+        _pass(net, train_batch, frozen=ws)
+        minus = _grads(arch)
         for d, gp, gm in zip(d_arch, plus, minus):
             d -= xi * (gp - gm) / (2.0 * eps)
-
-    return d_arch, float(val_loss.data)
+    _set_weights(ws, w_orig)
+    return d_arch, val_loss
 
 
 def triple_step(net, train_batch, val_batch, state: TripleState, lr_w):
@@ -277,28 +257,19 @@ def triple_step(net, train_batch, val_batch, state: TripleState, lr_w):
     """
     cfg = state.config
     arch = net.arch_parameters() + net.gate_parameters()
-
     if cfg.xi > 0:
         d_arch, val_loss = _arch_grads_unrolled(net, train_batch, val_batch,
                                                 cfg.xi, cfg.hessian_eps)
         for p, d in zip(arch, d_arch):
             p.grad = d
     else:
-        reset_tape()
-        _zero_all(net)
-        loss = _batch_loss(net, val_batch)
-        backward(loss)
-        val_loss = float(loss.data)
+        val_loss = _pass(net, val_batch, frozen=net.weight_parameters())
 
     state.alpha_opt.step()
     if state.beta_opt is not None:
         state.beta_opt.step()
 
-    reset_tape()
-    _zero_all(net)
-    loss = _batch_loss(net, train_batch)
-    backward(loss)
-    train_loss = float(loss.data)
+    train_loss = _pass(net, train_batch, frozen=arch)
     if not math.isfinite(train_loss) or not math.isfinite(val_loss):
         raise NumericsError(
             f"non-finite loss at step {state.step}: train={train_loss} val={val_loss}"

@@ -7,7 +7,6 @@ exactly.  A checkpoint is written per epoch (last + best by mean epoch
 validation loss); the genotype is derived from the final alpha and beta.
 """
 
-import csv
 import hashlib
 import json
 import os
@@ -20,9 +19,11 @@ from .config import spec
 from .network import CellStackConfig, Supernet, SupernetConfig
 from .optim import (NumericsError, OptimizerConfig, cosine_lr,
                     make_triple_state, triple_step)
-from .serialize import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
+from .serialize import (CheckpointError, RunLog, atomic_write, load_arrays,
+                        load_checkpoint, save_checkpoint)
 
 TIERS = ("darts", "alpha", "relax")
+LOG_COLUMNS = ("step", "epoch", "train_loss", "val_loss", "lr")
 
 
 @dataclass
@@ -48,49 +49,28 @@ class SearchRunConfig(CellStackConfig):
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _epoch_order(seed, epoch, n, stream):
-    rng = np.random.default_rng([int(seed), int(epoch), int(stream)])
-    return rng.permutation(n)
+def search_split(config, dataset):
+    """The (train, val) split of the session-1 windows and its content hash."""
+    session1 = dataset.session_view(1)
+    if len(session1) == 0:
+        raise D.DataError("dataset has no session-1 windows to search on")
+    train_split, val_split = D.split_for_search(session1, config.split_ratio, config.seed)
+    split_hash = hashlib.sha256(
+        (train_split.content_hash() + val_split.content_hash()).encode()
+    ).hexdigest()[:16]
+    return train_split, val_split, split_hash
 
 
-class RunLog:
-    """Appendable per-step CSV log with a monotone step counter.
-
-    Opening a log keeps only the complete rows of an existing file whose
-    step is below first_step, so a run resumed into its own directory
-    rewrites the steps after its checkpoint instead of repeating them.
-    """
-
-    COLUMNS = ("step", "epoch", "train_loss", "val_loss", "lr")
-
-    def __init__(self, path=None, first_step=0):
-        self.path = path
-        self.rows = []
-        if not path:
-            return
-        kept = []
-        if first_step > 0 and os.path.exists(path):
-            with open(path, newline="") as fh:
-                kept = [line for line in fh.readlines()[1:]
-                        if line.endswith("\n")
-                        and int(line.split(",", 1)[0]) < first_step]
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(self.COLUMNS)
-            fh.writelines(kept)
-
-    def append(self, step, epoch, train_loss, val_loss, lr):
-        row = (step, epoch, train_loss, val_loss, lr)
-        self.rows.append(row)
-        if self.path:
-            with open(self.path, "a", newline="") as fh:
-                csv.writer(fh).writerow(row)
+def _checkpoint_arrays(net, state):
+    """The live arrays of a search checkpoint, by the names it stores them under."""
+    arrays = {f"net:{k}": v for k, v in net.state_arrays().items()}
+    arrays.update({f"opt:{k}": v for k, v in state.state_arrays().items()})
+    return arrays
 
 
 def _write_checkpoint(path, config, net, state, best_val, split_hash):
-    arrays = {f"net:{k}": v for k, v in net.state_arrays().items()}
-    arrays.update({f"opt:{k}": v for k, v in state.state_arrays().items()})
     save_checkpoint(
-        path, "search", config.to_dict(), state.counters(), arrays,
+        path, "search", config.to_dict(), state.counters(), _checkpoint_arrays(net, state),
         extra={"best_val": best_val, "split_hash": split_hash},
     )
 
@@ -110,41 +90,37 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
     dataset: a WindowedDataset; only its session-1 windows participate.
     out_dir: when given, receives config.json, log.csv, genotype.json and
     checkpoints/{last,best}.json.
+    resume_from: a search checkpoint of this same config to continue from.
     """
-    session1 = dataset.session_view(1)
-    if len(session1) == 0:
-        raise D.DataError("dataset has no session-1 windows to search on")
-    train_split, val_split = D.split_for_search(session1, config.split_ratio, config.seed)
-    split_hash = hashlib.sha256(
-        (train_split.content_hash() + val_split.content_hash()).encode()
-    ).hexdigest()[:16]
-
-    sup_cfg = config.supernet_config(dataset.num_classes, dataset.windows.shape[1])
-    net = Supernet(sup_cfg, seed=config.seed)
-    state = make_triple_state(net, config.optimizer)
-    best_val = float("inf")
-
+    doc = None
     if resume_from is not None:
         doc = load_checkpoint(resume_from, expect_kind="search")
         saved = SearchRunConfig.from_dict(doc["config"], "config")
         if saved.config_hash() != config.config_hash():
             raise CheckpointError("checkpoint was produced by a different search config")
-        net.load_state_arrays(
-            {k[4:]: v for k, v in doc["arrays"].items() if k.startswith("net:")})
-        state.load_state_arrays(
-            {k[4:]: v for k, v in doc["arrays"].items() if k.startswith("opt:")})
+    return _search(config, dataset, out_dir, doc, step_callback)
+
+
+def _search(config, dataset, out_dir, doc, step_callback):
+    """run_search from the decoded checkpoint doc, or from scratch when doc is None."""
+    train_split, val_split, split_hash = search_split(config, dataset)
+    sup_cfg = config.supernet_config(dataset.num_classes, dataset.windows.shape[1])
+    net = Supernet(sup_cfg, seed=config.seed)
+    state = make_triple_state(net, config.optimizer)
+    best_val = float("inf")
+    if doc is not None:
+        load_arrays(_checkpoint_arrays(net, state), doc["arrays"])
         state.load_counters(doc["counters"])
         best_val = float(doc["extra"].get("best_val", float("inf")))
 
     ckpt_dir = None
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
         with atomic_write(os.path.join(out_dir, "config.json")) as fh:
             json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None,
-                 first_step=state.step)
+    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None, LOG_COLUMNS,
+                 first=state.step)
 
     net.train(True)
     n_train, n_val = len(train_split), len(val_split)
@@ -153,8 +129,8 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
 
     for epoch in range(state.epoch, config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.optimizer.w_lr0)
-        train_order = _epoch_order(config.seed, epoch, n_train, stream=1)
-        val_order = _epoch_order(config.seed, epoch, n_val, stream=2)
+        train_order = D.epoch_order(config.seed, epoch, n_train, stream=1)
+        val_order = D.epoch_order(config.seed, epoch, n_val, stream=2)
         train_batches = list(D.batches(train_split, config.train_batch, train_order))
         val_batches = list(D.batches(val_split, config.val_batch, val_order))
 
@@ -195,6 +171,5 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
 def resume(checkpoint_path, dataset, out_dir=None, step_callback=None):
     """Continue a search from a checkpoint; same genotype as the full run."""
     doc = load_checkpoint(checkpoint_path, expect_kind="search")
-    config = SearchRunConfig.from_dict(doc["config"], "config")
-    return run_search(config, dataset, out_dir=out_dir,
-                      resume_from=checkpoint_path, step_callback=step_callback)
+    return _search(SearchRunConfig.from_dict(doc["config"], "config"), dataset, out_dir,
+                   doc, step_callback)

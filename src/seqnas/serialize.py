@@ -17,11 +17,13 @@ Layout (documented for external readers):
 Saving goes through atomic_write, as every whole-file output of a run
 does: a sibling temp file renamed over the target, so a file on disk is
 always complete.  Loading validates the whole document before any state
-is touched.
+is touched, and load_arrays checks every array's name and shape before it
+copies any.  The appended log.csv files go through RunLog instead.
 """
 
 import base64
 import contextlib
+import csv
 import json
 import os
 
@@ -48,6 +50,33 @@ def atomic_write(path, newline=None):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+class RunLog:
+    """Appendable CSV log whose first column is a monotone counter.
+
+    Opening a log keeps only the complete rows of an existing file whose
+    counter is below first, so a run resumed into its own directory
+    rewrites the rows after its checkpoint instead of repeating them.
+    """
+
+    def __init__(self, path, columns, first=0):
+        self.path = path
+        if not path:
+            return
+        kept = []
+        if first > 0 and os.path.exists(path):
+            with open(path, newline="") as fh:
+                kept = [line for line in fh.readlines()[1:]
+                        if line.endswith("\n") and int(line.split(",", 1)[0]) < first]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(columns)
+            fh.writelines(kept)
+
+    def append(self, *row):
+        if self.path:
+            with open(self.path, "a", newline="") as fh:
+                csv.writer(fh).writerow(row)
 
 
 def encode_array(a):
@@ -78,8 +107,9 @@ def save_checkpoint(path, kind, config, counters, arrays, extra=None):
         "extra": extra or {},
         "arrays": {name: encode_array(a) for name, a in arrays.items()},
     }
+    # json.dumps uses the C encoder; json.dump writes the same bytes in pure Python
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 def load_checkpoint(path, expect_kind=None):
@@ -106,3 +136,17 @@ def load_checkpoint(path, expect_kind=None):
             raise CheckpointError(f"checkpoint missing field {key!r}")
     doc["arrays"] = {name: decode_array(d) for name, d in doc["arrays"].items()}
     return doc
+
+
+def load_arrays(live, saved, error=CheckpointError):
+    """Copy saved[name] into each live array, cast to its dtype, once every name
+    and shape is checked: on a mismatch (raised as error) nothing is copied."""
+    missing, extra = sorted(set(live) - set(saved)), sorted(set(saved) - set(live))
+    if missing or extra:
+        raise error(f"checkpoint array mismatch: missing={missing[:4]} extra={extra[:4]}")
+    for name, dst in live.items():
+        if np.shape(saved[name]) != dst.shape:
+            raise error(f"checkpoint array {name} shape mismatch: "
+                        f"{np.shape(saved[name])} vs {dst.shape}")
+    for name, dst in live.items():
+        dst[...] = saved[name]

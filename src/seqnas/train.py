@@ -1,6 +1,5 @@
 """From-scratch training of a derived network with drop-path regularization."""
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -12,7 +11,7 @@ from . import functional as F
 from .autograd import Tensor, backward, reset_tape
 from .config import Config, spec
 from .optim import NumericsError, OptimizerConfig, clip_grad_norm, cosine_lr, SGD
-from .serialize import save_checkpoint
+from .serialize import RunLog, load_arrays, save_checkpoint
 
 
 @dataclass
@@ -70,15 +69,14 @@ def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=
     net.train(True)
     n = len(session1)
 
-    log_path = os.path.join(out_dir, "log.csv") if out_dir else None
-    if log_path:
+    if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(log_path, "w", newline="") as fh:
-            csv.writer(fh).writerow(("epoch", "loss", "accuracy", "lr"))
+    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None,
+                 ("epoch", "loss", "accuracy", "lr"))
 
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.optimizer.w_lr0)
-        order = np.random.default_rng([config.seed, epoch, 3]).permutation(n)
+        order = D.epoch_order(config.seed, epoch, n, stream=3)
         dp_rng = np.random.default_rng([config.seed, epoch, 4])
         p = config.drop_path_p * epoch / config.epochs
         reg = (lambda t: drop_path(t, p, True, dp_rng)) if p > 0 else None
@@ -99,10 +97,7 @@ def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=
         row = {"epoch": epoch, "loss": float(np.mean(losses)),
                "accuracy": hits / total, "lr": lr}
         history.append(row)
-        if log_path:
-            with open(log_path, "a", newline="") as fh:
-                csv.writer(fh).writerow((row["epoch"], row["loss"],
-                                         row["accuracy"], row["lr"]))
+        log.append(*row.values())
         if row["accuracy"] > best["accuracy"]:
             best = {"accuracy": row["accuracy"], "epoch": epoch,
                     "arrays": {k: v.copy() for k, v in net.state_arrays().items()}}
@@ -143,7 +138,6 @@ def load_trained(path):
     genotype = Genotype.from_json_dict(doc["config"]["genotype"])
     sup_cfg = SupernetConfig.from_dict(doc["config"]["supernet"], "config.supernet")
     net = DiscreteNetwork(genotype, sup_cfg, seed=0)
-    net.load_state_arrays(
-        {k[4:]: v for k, v in doc["arrays"].items() if k.startswith("net:")})
+    load_arrays({f"net:{k}": v for k, v in net.state_arrays().items()}, doc["arrays"])
     net.eval()
     return net, genotype, doc

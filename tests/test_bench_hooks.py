@@ -1,12 +1,20 @@
-"""The traced benchmark patches methods in the class bodies that define them.
+"""The traced benchmark patches methods in the class bodies that define them,
+and module functions where their callers look them up.
 
-If a method it wraps moves to a base class, ``--trace 1`` breaks; this
-test makes that visible without running a workload.
+If a method it wraps moves to a base class, or a search step stops reaching
+``optim._batch_loss`` and ``optim.backward`` through their module, ``--trace 1``
+breaks or misattributes time; these tests make that visible without running
+a workload.
 """
 
 import os
+from collections import Counter
 
-from seqnas import cell, network
+import numpy as np
+import pytest
+
+from seqnas import cell, network, search
+from seqnas.optim import OptimizerConfig, make_triple_state
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -32,3 +40,35 @@ def test_trace_hooks_install_and_restore(monkeypatch):
         assert owner.__dict__[attr] is old, f"{owner.__name__}.{attr} not restored"
     for (owner, attr), old in before.items():
         assert owner.__dict__[attr] is old
+
+
+@pytest.mark.parametrize("xi, passes", [
+    (0.0, {"optim.arch_pass": 1, "optim.weight_pass": 1}),
+    (0.01, {"optim.unrolled_pass": 4, "optim.weight_pass": 1}),
+])
+def test_trace_attributes_every_pass_of_a_triple_step(monkeypatch, xi, passes):
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    net = network.Supernet(network.SupernetConfig(
+        num_cells=2, layout=("normal", "reduction"), init_channels=2,
+        num_classes=2, input_channels=2), seed=0)
+    state = make_triple_state(net, OptimizerConfig(xi=xi))
+    r = np.random.default_rng(1)
+    train_b = (r.standard_normal((2, 2, 8)), np.array([0, 1]))
+    val_b = (r.standard_normal((2, 2, 8)), np.array([1, 0]))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        search.triple_step(net, train_b, val_b, state, 0.01)
+
+    spans = tracer.spans
+    assert Counter(s[0] for s in spans if s[0].endswith("_pass")) == passes
+    assert all(s[2] >= s[1] for s in spans)  # every span was closed
+    unrolled = [i for i, s in enumerate(spans) if s[0] == "optim.unrolled"]
+    assert len(unrolled) == (xi > 0)
+    for s in spans:
+        if s[0] == "optim.unrolled_pass":
+            parent = s[3]
+            while parent >= 0 and spans[parent][0] != "optim.unrolled":
+                parent = spans[parent][3]
+            assert parent == unrolled[0]

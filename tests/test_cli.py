@@ -191,6 +191,24 @@ def test_eval_checks_init_channels_against_checkpoint(tmp_path):
     assert not (tmp_path / "clash" / "metrics.json").exists()
 
 
+def test_missing_session_two_fails_before_manifest(tmp_path, capsys):
+    cfg = tmp_path / "one_session.json"
+    cfg.write_text(json.dumps({"data": {"synth_sessions": 1}}))
+    geno = _searched_genotype(tmp_path)
+    train_out = tmp_path / "train"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                    "--epochs", "0", "--out", train_out]) == 0
+    runs = {"eval": ["eval", *MICRO_DATA, "--config", cfg,
+                     "--weights", train_out / "weights.json"],
+            "ablate": ["ablate", *MICRO_DATA, *MICRO_NET, "--config", cfg,
+                       "--search-epochs", "1", "--train-epochs", "0"]}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert run_cli(args + ["--out", out]) == 3, name
+        assert "no session-2 windows" in capsys.readouterr().err
+        assert not out.exists(), name  # no manifest.json, no tier directory
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"search": {"epochs": 1, "init_channels": 4,
@@ -223,12 +241,24 @@ def test_train_init_channels_from_config_file_and_flag(tmp_path):
         assert doc["config"]["supernet"]["init_channels"] == width
 
 
-def test_ablate_three_rows_and_reproducible(tmp_path):
+def test_ablate_three_rows_and_reproducible(tmp_path, monkeypatch):
+    import seqnas.cli as cli
+    import seqnas.search as S
+    import seqnas.serialize as SER
+
     args = ["ablate", *MICRO_DATA, *MICRO_NET, "--seed", "4",
             "--search-epochs", "1", "--train-epochs", "1"]
     out1, out2 = tmp_path / "a1", tmp_path / "a2"
+    loads = []
+    for owner in (cli, S, SER):  # the split hash comes from the config, not from last.json
+        load = getattr(owner, "load_checkpoint", SER.load_checkpoint)
+        monkeypatch.setattr(owner, "load_checkpoint",
+                            lambda *a, load=load, **k: loads.append(a) or load(*a, **k),
+                            raising=False)
     assert run_cli(args + ["--out", out1]) == 0
     assert run_cli(args + ["--out", out2]) == 0
+    assert loads == []
+    monkeypatch.undo()
 
     report = json.loads((out1 / "report.json").read_text())
     assert [r["tier"] for r in report["rows"]] == ["darts", "alpha", "relax"]
@@ -243,6 +273,8 @@ def test_ablate_three_rows_and_reproducible(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     for tier in ("darts", "alpha", "relax"):
+        ckpt = S.load_checkpoint(str(out1 / tier / "checkpoints" / "last.json"))
+        assert ckpt["extra"]["split_hash"] == report["split_hash"]
         log = (out1 / tier / "log.csv").read_text().splitlines()
         assert log[0] == "step,epoch,train_loss,val_loss,lr"  # the search log survives
         assert len(log) > 1

@@ -157,6 +157,19 @@ def test_state_arrays_roundtrip():
         other.load_state_arrays({"stem.w": ref["stem.w"]})
 
 
+def test_load_checks_every_shape_before_copying_any():
+    net = Supernet(small_config(use_gates=True), seed=0)
+    before = {k: v.copy() for k, v in net.state_arrays().items()}
+    saved = {k: v + 1 for k, v in Supernet(small_config(use_gates=True), seed=99)
+             .state_arrays().items()}
+    last = list(saved)[-1]
+    saved[last] = np.zeros(saved[last].size + 1, dtype=saved[last].dtype)
+    with pytest.raises(NetworkError, match="mismatch"):
+        net.load_state_arrays(saved)
+    for k, v in net.state_arrays().items():
+        assert np.array_equal(v, before[k]), k
+
+
 def _distinct_genotype(num_cells=6):
     kinds = ("normal", "reduction") * (num_cells // 2)
     ops = [o for o in OP_VOCAB if o != "none"]

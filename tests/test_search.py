@@ -8,7 +8,7 @@ import pytest
 from seqnas.data import make_windows, synth_generate
 from seqnas.optim import NumericsError, OptimizerConfig
 from seqnas.search import SearchRunConfig, resume, run_search
-from seqnas.serialize import CheckpointError, load_checkpoint, save_checkpoint
+from seqnas.serialize import CheckpointError, encode_array, load_checkpoint, save_checkpoint
 
 
 def micro_dataset(num_subjects=4, seed=0):
@@ -163,6 +163,54 @@ def test_resume_from_final_checkpoint_returns_immediately(tmp_path):
     g2 = resume(ckpt, ds, step_callback=counter)
     assert calls["n"] == 0
     assert g2.to_json() == g.to_json()
+
+
+def test_resume_decodes_the_checkpoint_once(tmp_path, monkeypatch):
+    import seqnas.search as S
+
+    ds = micro_dataset()
+    out = tmp_path / "x"
+    run_search(micro_config(epochs=2), ds, out_dir=str(out))
+    calls = []
+    load = S.load_checkpoint
+    monkeypatch.setattr(S, "load_checkpoint",
+                        lambda *a, **k: calls.append(a) or load(*a, **k))
+    resume(str(out / "checkpoints" / "last.json"), ds)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("damage", ["missing", "one_element"])
+def test_resume_checks_every_array_before_loading_any(tmp_path, monkeypatch, damage):
+    """A damaged optimizer buffer fails the resume with every live array intact."""
+    import seqnas.search as S
+
+    ds = micro_dataset()
+    out = tmp_path / "x"
+    run_search(micro_config(epochs=1), ds, out_dir=str(out))
+    ckpt = out / "checkpoints" / "last.json"
+    doc = json.loads(ckpt.read_text())
+    key = sorted(k for k in doc["arrays"] if k.startswith("opt:w:"))[-1]
+    if damage == "missing":
+        del doc["arrays"][key]
+    else:
+        doc["arrays"][key] = encode_array(np.ones(1, dtype=np.float32))
+    ckpt.write_text(json.dumps(doc))
+
+    live, before = {}, {}
+    make = S.make_triple_state
+
+    def capture(net, config):  # the arrays the resume loads into, fresh from init
+        state = make(net, config)
+        live.update({**net.state_arrays(), **state.state_arrays()})
+        before.update({k: v.copy() for k, v in live.items()})
+        return state
+
+    monkeypatch.setattr(S, "make_triple_state", capture)
+    with pytest.raises(CheckpointError, match="mismatch"):
+        resume(str(ckpt), ds)
+    assert live
+    for k, v in live.items():
+        assert np.array_equal(v, before[k]), k
 
 
 def test_corrupted_checkpoint_is_structured_error(tmp_path):
