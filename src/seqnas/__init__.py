@@ -21,5 +21,4 @@ from .train import TrainConfig, drop_path, train_final
 from .metrics import (MetricError, ScoreSet, compute_eer, det_curve, embed,
                       frr_at_far, metrics_report, score_protocol)
 from .data import (CsvSchema, DataError, SequenceRecord, WindowedDataset,
-                   ingest_csv, export_csv, make_windows, split_for_search,
-                   synth_generate)
+                   ingest_csv, make_windows, split_for_search, synth_generate)

@@ -121,12 +121,16 @@ class Genotype:
         return cls.from_json_dict(d)
 
 
+def _softmax64(x):
+    """Softmax over the last axis of a Tensor or array, in float64."""
+    x = np.asarray(x.data if hasattr(x, "data") else x, dtype=np.float64)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def gate_coefficients(beta, gate_scale=2.0):
     """(g0, g1) = gate_scale * softmax(beta); they sum to gate_scale."""
-    b = np.asarray(beta.data if hasattr(beta, "data") else beta, dtype=np.float64)
-    z = b - b.max()
-    e = np.exp(z)
-    sm = e / e.sum()
+    sm = _softmax64(beta)
     return float(gate_scale * sm[0]), float(gate_scale * sm[1])
 
 
@@ -150,14 +154,11 @@ def derive_genotype(alphas, gates, threshold, kinds, gate_scale=2.0, meta=None):
 
     cells = []
     for ci, (alpha, beta, kind) in enumerate(zip(alphas, gates, kinds)):
-        a = np.asarray(alpha.data if hasattr(alpha, "data") else alpha, dtype=np.float64)
-        if a.shape != (NUM_EDGES, len(OP_VOCAB)):
+        w = _softmax64(alpha)
+        if w.shape != (NUM_EDGES, len(OP_VOCAB)):
             raise ValueError(
-                f"cell {ci}: alpha shape {a.shape}, expected ({NUM_EDGES}, {len(OP_VOCAB)})"
+                f"cell {ci}: alpha shape {w.shape}, expected ({NUM_EDGES}, {len(OP_VOCAB)})"
             )
-        z = a - a.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        w = e / e.sum(axis=1, keepdims=True)
 
         nodes = []
         for j in range(NUM_INTERMEDIATE):
@@ -226,19 +227,18 @@ class _Cell(Module):
     one list of (from_node, edge) pairs per intermediate node.
     """
 
-    def __init__(self, c_pp, c_p, channels, reduction, reduction_prev, rng, dtype,
-                 track_running, tag):
+    def __init__(self, c_pp, c_p, channels, reduction, reduction_prev, rng, dtype, tag):
         super().__init__()
         self.c_pp = c_pp
         self.reduction = reduction
         if reduction_prev:
             self.pre0 = self.add_child(
-                FactorizedReduce(c_pp, channels, rng, dtype, track_running, f"{tag}.pre0"))
+                FactorizedReduce(c_pp, channels, rng, dtype, f"{tag}.pre0"))
         else:
             self.pre0 = self.add_child(
-                ReLUConvNorm(c_pp, channels, 1, 1, rng, dtype, track_running, f"{tag}.pre0"))
+                ReLUConvNorm(c_pp, channels, 1, 1, rng, dtype, f"{tag}.pre0"))
         self.pre1 = self.add_child(
-            ReLUConvNorm(c_p, channels, 1, 1, rng, dtype, track_running, f"{tag}.pre1"))
+            ReLUConvNorm(c_p, channels, 1, 1, rng, dtype, f"{tag}.pre1"))
         self.node_inputs = [[] for _ in range(NUM_INTERMEDIATE)]
 
     def _stride(self, frm):
@@ -270,8 +270,7 @@ class SearchCell(_Cell):
     """One relaxed cell: a MixedOp on each of the 14 edges."""
 
     def __init__(self, c_pp, c_p, channels, reduction, reduction_prev, rng, dtype, tag=""):
-        super().__init__(c_pp, c_p, channels, reduction, reduction_prev, rng, dtype,
-                         False, tag)
+        super().__init__(c_pp, c_p, channels, reduction, reduction_prev, rng, dtype, tag)
         self.mixed = []
         for k, (frm, dst) in enumerate(EDGES):
             self.mixed.append(self.add_child(
@@ -289,16 +288,14 @@ class DiscreteCell(_Cell):
     callable is skipped on identity edges.
     """
 
-    def __init__(self, entry, c_pp, c_p, channels, reduction_prev, rng, dtype,
-                 track_running, tag=""):
+    def __init__(self, entry, c_pp, c_p, channels, reduction_prev, rng, dtype, tag=""):
         super().__init__(c_pp, c_p, channels, entry.kind == "reduction", reduction_prev,
-                         rng, dtype, track_running, tag)
+                         rng, dtype, tag)
         self.entry = entry
         for j, entries in enumerate(entry.nodes):
             for ei, (op_name, frm) in enumerate(entries):
-                op = self.add_child(make_op(
-                    op_name, channels, self._stride(frm), rng, dtype, track_running,
-                    tag=f"{tag}.n{j}e{ei}.{op_name}"))
+                op = self.add_child(make_op(op_name, channels, self._stride(frm), rng, dtype,
+                                            tag=f"{tag}.n{j}e{ei}.{op_name}"))
                 self.node_inputs[j].append((frm, (op_name, op)))
 
     def forward(self, s0, s1, edge_regularizer=None):

@@ -11,13 +11,17 @@ and one column per channel; rows are samples in time order, grouped by
 """
 
 import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autograd import Tensor, default_dtype
+
+
+# NaN runs up to this many samples (50 ms at 1 kHz) are interpolated; longer
+# ones split the record
+MAX_NAN_GAP = 50
 
 
 class DataError(ValueError):
@@ -29,8 +33,6 @@ class CsvSchema:
     subject_col: str = "subject"
     session_col: str = "session"
     channel_cols: tuple = ()  # empty = every other column, header order
-    sampling_rate_hz: float = 1000.0
-    max_nan_gap_ms: float = 50.0
 
 
 @dataclass
@@ -94,10 +96,6 @@ def ingest_csv(path, schema: CsvSchema = None):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def ingest_csv_text(text, schema: CsvSchema = None):
-    return _ingest(io.StringIO(text), schema or CsvSchema())
-
-
 def _ingest(fh, schema):
     reader = csv.reader(fh)
     try:
@@ -139,7 +137,6 @@ def _ingest(fh, schema):
     if not groups:
         raise DataError("empty file: no data rows")
 
-    max_gap = int(schema.max_nan_gap_ms / 1000.0 * schema.sampling_rate_hz)
     records = []
     for key in sorted(order):
         subject, session = key
@@ -147,7 +144,7 @@ def _ingest(fh, schema):
         bad = np.zeros(len(next(iter(values.values()))), dtype=bool)
         for col in values.values():
             bad |= ~np.isfinite(col)
-        segments = _interpolate_short_gaps(values, bad, max_gap)
+        segments = _interpolate_short_gaps(values, bad, MAX_NAN_GAP)
         for a, b in segments:
             records.append(SequenceRecord(
                 subject_id=subject,
@@ -157,43 +154,12 @@ def _ingest(fh, schema):
     return records
 
 
-def export_csv(records, path, schema: CsvSchema = None):
-    """Inverse of ingest_csv for clean (gap-free) records."""
-    schema = schema or CsvSchema()
-    names = records[0].channel_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.subject_col, schema.session_col] + names)
-        for rec in sorted(records, key=lambda r: (r.subject_id, r.session_id)):
-            cols = [rec.channels[c] for c in names]
-            for t in range(rec.length):
-                writer.writerow([rec.subject_id, rec.session_id]
-                                + [repr(float(col[t])) for col in cols])
-
-
-def dataset_manifest(records, schema: CsvSchema = None):
-    schema = schema or CsvSchema()
-    return {
-        "channels": records[0].channel_names if records else [],
-        "sampling_rate_hz": schema.sampling_rate_hz,
-        "records": [
-            {"subject": r.subject_id, "session": r.session_id, "length": r.length}
-            for r in records
-        ],
-    }
-
-
 @dataclass
 class WindowedDataset:
     windows: np.ndarray  # (N, C, T)
     labels: np.ndarray  # subject index per window
     sessions: np.ndarray  # session id per window
     subject_ids: list  # index -> subject id
-    channel_names: list
-    window_len: int
-    stride: int
-    norm_mean: np.ndarray = None
-    norm_std: np.ndarray = None
 
     def __len__(self):
         return len(self.windows)
@@ -207,17 +173,8 @@ class WindowedDataset:
 
     def subset(self, indices):
         indices = np.asarray(indices)
-        return WindowedDataset(
-            windows=self.windows[indices],
-            labels=self.labels[indices],
-            sessions=self.sessions[indices],
-            subject_ids=self.subject_ids,
-            channel_names=self.channel_names,
-            window_len=self.window_len,
-            stride=self.stride,
-            norm_mean=self.norm_mean,
-            norm_std=self.norm_std,
-        )
+        return replace(self, windows=self.windows[indices], labels=self.labels[indices],
+                       sessions=self.sessions[indices])
 
     def content_hash(self):
         import hashlib
@@ -229,7 +186,7 @@ class WindowedDataset:
         return h.hexdigest()
 
 
-def make_windows(records, window_len, stride, z_normalize=True):
+def make_windows(records, window_len, stride):
     """Slice records into fixed windows; z-score with session-1 statistics.
 
     Records shorter than the window (segments cut by long NaN gaps) are
@@ -260,22 +217,15 @@ def make_windows(records, window_len, stride, z_normalize=True):
     labels = np.asarray(labels, dtype=np.int64)
     sessions = np.asarray(sessions, dtype=np.int64)
 
-    mean = std = None
-    if z_normalize:
-        ref = windows[sessions == 1]
-        if len(ref) == 0:
-            raise DataError("z-normalization needs session-1 windows")
-        mean = ref.mean(axis=(0, 2))
-        std = ref.std(axis=(0, 2))
-        std = np.where(std < 1e-12, 1.0, std)
-        windows = (windows - mean[None, :, None]) / std[None, :, None]
-
-    return WindowedDataset(
-        windows=windows, labels=labels, sessions=sessions,
-        subject_ids=subjects, channel_names=list(names),
-        window_len=window_len, stride=stride,
-        norm_mean=mean, norm_std=std,
-    )
+    ref = windows[sessions == 1]
+    if len(ref) == 0:
+        raise DataError("z-normalization needs session-1 windows")
+    mean = ref.mean(axis=(0, 2))
+    std = ref.std(axis=(0, 2))
+    std = np.where(std < 1e-12, 1.0, std)
+    windows = (windows - mean[None, :, None]) / std[None, :, None]
+    return WindowedDataset(windows=windows, labels=labels, sessions=sessions,
+                           subject_ids=subjects)
 
 
 def split_for_search(dataset, ratio, seed):

@@ -383,15 +383,17 @@ def shift_time(x):
 # normalization, pooling to vector, classification head
 
 
-def channel_norm(x, gamma, beta, eps=1e-5, use_batch_stats=True,
-                 running_mean=None, running_var=None, momentum=0.1,
-                 update_running=False):
+NORM_EPS = 1e-5
+NORM_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
+
+
+def channel_norm(x, gamma, beta, running=None, training=True):
     """Per-channel affine normalization over the current batch.
 
-    In batch-stats mode, mean/variance are taken over (batch, time) per
-    channel and the backward pass differentiates through them.  With
-    use_batch_stats off, the provided running arrays are treated as
-    constants (final-network evaluation mode).
+    Mean/variance are taken over (batch, time) per channel and the backward
+    pass differentiates through them.  running is None or a (mean, var)
+    pair of arrays: in training it is updated in place; outside training
+    it is used as constants instead of the batch (final-network evaluation).
     """
     x, gamma, beta = _tensor(x), _tensor(gamma), _tensor(beta)
     _shape_check(x.ndim == 3, "channel_norm", f"input must be (B,C,T), got {x.shape}")
@@ -400,23 +402,20 @@ def channel_norm(x, gamma, beta, eps=1e-5, use_batch_stats=True,
     _shape_check(beta.shape == (C,), "channel_norm", f"beta {beta.shape} vs C={C}")
 
     n_stat = B * T
-    if use_batch_stats:
+    batch_stats = training or running is None
+    if batch_stats:
         mean = x.data.mean(axis=(0, 2))
         xc = x.data - mean[None, :, None]
         var = np.einsum("bct,bct->c", xc, xc) / n_stat
-        if update_running and running_mean is not None:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
+        if running is not None:
+            for buf, stat in zip(running, (mean, var)):
+                buf *= 1.0 - NORM_MOMENTUM
+                buf += NORM_MOMENTUM * stat
     else:
-        if running_mean is None or running_var is None:
-            raise ShapeError("channel_norm: running stats required when batch stats off")
-        mean = running_mean
-        var = running_var
+        mean, var = running
         xc = x.data - mean[None, :, None]
 
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
+    inv_std = (1.0 / np.sqrt(var + NORM_EPS)).astype(x.data.dtype)
     xhat = xc  # xc is not read again: normalise it in place
     xhat *= inv_std[None, :, None]
     out = Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None])
@@ -428,7 +427,7 @@ def channel_norm(x, gamma, beta, eps=1e-5, use_batch_stats=True,
             beta.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
             gs = g * gamma.data[None, :, None]
-            if use_batch_stats:
+            if batch_stats:
                 mean_gs = gs.mean(axis=(0, 2))
                 mean_gs_xhat = np.einsum("bct,bct->c", gs, xhat) / n_stat
                 # inv_std * (gs - mean_gs - xhat * mean_gs_xhat), in place in gs

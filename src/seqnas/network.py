@@ -20,7 +20,7 @@ from .cell import (NUM_EDGES, DiscreteCell, SearchCell, derive_genotype,
                    gate_coefficients)
 from .config import Config, spec
 from .module import Module
-from .ops import ChannelNorm, OP_VOCAB
+from .ops import ChannelNorm, OP_VOCAB, he_normal
 from .serialize import load_arrays
 
 NODE_MULTIPLIER = 4  # cell output concatenates 4 intermediate nodes
@@ -83,15 +83,13 @@ def _check_temporal(layout, t_in):
 class _Backbone(Module):
     """Shared stem/cell/head scaffolding for search and discrete networks."""
 
-    def __init__(self, config, rng, dtype, track_running):
+    def __init__(self, config, rng, dtype):
         super().__init__()
         self.config = config
-        c = config.init_channels
+        c, c_in = config.init_channels, config.input_channels
         self.stem_w = self.register(parameter(
-            (rng.standard_normal((c, config.input_channels, 3))
-             * math.sqrt(2.0 / (config.input_channels * 3))).astype(dtype),
-            "stem.w"))
-        self.stem_norm = self.add_child(ChannelNorm(c, dtype, track_running, "stem.norm"))
+            he_normal(rng, (c, c_in, 3), c_in * 3, dtype), "stem.w"))
+        self.stem_norm = self.add_child(ChannelNorm(c, dtype, "stem.norm"))
 
     def _build(self, make_cell, rng, dtype):
         """Stack the cells of the layout, then the head, in parameter-creation order.
@@ -150,7 +148,7 @@ class Supernet(_Backbone):
     def __init__(self, config: SupernetConfig, seed=0):
         rng = np.random.default_rng(seed)
         dtype = default_dtype()
-        super().__init__(config, rng, dtype, track_running=False)
+        super().__init__(config, rng, dtype)
 
         self._build(lambda i, c_pp, c_p, c, reduction, reduction_prev: SearchCell(
             c_pp, c_p, c, reduction, reduction_prev, rng, dtype, tag=f"cell{i}"), rng, dtype)
@@ -245,12 +243,14 @@ class DiscreteNetwork(_Backbone):
             raise NetworkError("genotype cell kinds disagree with configured layout")
         rng = np.random.default_rng(seed)
         dtype = default_dtype()
-        super().__init__(config, rng, dtype, track_running=True)
-        self.genotype = genotype
-
+        super().__init__(config, rng, dtype)
         self._build(lambda i, c_pp, c_p, c, reduction, reduction_prev: DiscreteCell(
-            genotype.cells[i], c_pp, c_p, c, reduction_prev, rng, dtype,
-            track_running=True, tag=f"cell{i}"), rng, dtype)
+            genotype.cells[i], c_pp, c_p, c, reduction_prev, rng, dtype, tag=f"cell{i}"),
+            rng, dtype)
+        # only the final network keeps running statistics, for evaluation
+        for m in self.walk():
+            if isinstance(m, ChannelNorm):
+                m.track_running = True
 
     def forward(self, x, edge_regularizer=None):
         logits, _ = self.forward_with_embedding(x, edge_regularizer)

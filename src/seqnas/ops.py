@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import functional as F
-from .autograd import Tensor, parameter
+from .autograd import parameter
 from .module import Module
 
 OP_VOCAB = (
@@ -25,7 +25,7 @@ OP_VOCAB = (
 )
 
 
-def _he_normal(rng, shape, fan_in, dtype):
+def he_normal(rng, shape, fan_in, dtype):
     std = math.sqrt(2.0 / fan_in)
     return (rng.standard_normal(shape) * std).astype(dtype)
 
@@ -33,39 +33,34 @@ def _he_normal(rng, shape, fan_in, dtype):
 class ChannelNorm(Module):
     """Learnable per-channel scale and shift over batch statistics.
 
-    Running statistics are kept only when track_running is on (final-network
-    training); the search supernet always normalizes with the current batch.
+    Running statistics are kept only when track_running is on, which
+    DiscreteNetwork sets on its norms; the search supernet always normalizes
+    with the current batch.
     """
 
-    def __init__(self, channels, dtype, track_running=False, name=""):
+    def __init__(self, channels, dtype, name=""):
         super().__init__()
         self.tag = name
         self.gamma = self.register(parameter(np.ones(channels, dtype=dtype), f"{name}.gamma"))
         self.beta = self.register(parameter(np.zeros(channels, dtype=dtype), f"{name}.beta"))
-        self.track_running = track_running
+        self.track_running = False
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
     def forward(self, x):
-        running = self.track_running
-        return F.channel_norm(
-            x, self.gamma, self.beta,
-            use_batch_stats=self.training or not running,
-            running_mean=self.running_mean if running else None,
-            running_var=self.running_var if running else None,
-            update_running=self.training and running,
-        )
+        running = (self.running_mean, self.running_var) if self.track_running else None
+        return F.channel_norm(x, self.gamma, self.beta, running, self.training)
 
 
 class ReLUConvNorm(Module):
     """relu -> dense conv -> channel norm, the standard projection block."""
 
-    def __init__(self, c_in, c_out, kernel, stride, rng, dtype, track_running, name=""):
+    def __init__(self, c_in, c_out, kernel, stride, rng, dtype, name=""):
         super().__init__()
         self.stride = stride
         self.w = self.register(parameter(
-            _he_normal(rng, (c_out, c_in, kernel), c_in * kernel, dtype), f"{name}.w"))
-        self.norm = self.add_child(ChannelNorm(c_out, dtype, track_running, f"{name}.norm"))
+            he_normal(rng, (c_out, c_in, kernel), c_in * kernel, dtype), f"{name}.w"))
+        self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
         return self.norm.forward(F.conv1d(F.relu(x), self.w, stride=self.stride))
@@ -96,14 +91,14 @@ class FactorizedReduce(Module):
     the end) so the two halves sample interleaved positions.
     """
 
-    def __init__(self, c_in, c_out, rng, dtype, track_running, name=""):
+    def __init__(self, c_in, c_out, rng, dtype, name=""):
         super().__init__()
         half = c_out // 2
         self.w1 = self.register(parameter(
-            _he_normal(rng, (half, c_in, 1), c_in, dtype), f"{name}.w1"))
+            he_normal(rng, (half, c_in, 1), c_in, dtype), f"{name}.w1"))
         self.w2 = self.register(parameter(
-            _he_normal(rng, (c_out - half, c_in, 1), c_in, dtype), f"{name}.w2"))
-        self.norm = self.add_child(ChannelNorm(c_out, dtype, track_running, f"{name}.norm"))
+            he_normal(rng, (c_out - half, c_in, 1), c_in, dtype), f"{name}.w2"))
+        self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
         x = F.relu(x)
@@ -115,20 +110,19 @@ class FactorizedReduce(Module):
 class SepConv(Module):
     """Depthwise separable conv applied twice (second pass stride 1)."""
 
-    def __init__(self, channels, kernel, stride, rng, dtype, track_running, name=""):
+    def __init__(self, channels, kernel, stride, rng, dtype, name=""):
         super().__init__()
         self.stride = stride
-        self.kernel = kernel
         self.dw1 = self.register(parameter(
-            _he_normal(rng, (channels, kernel), kernel, dtype), f"{name}.dw1"))
+            he_normal(rng, (channels, kernel), kernel, dtype), f"{name}.dw1"))
         self.pw1 = self.register(parameter(
-            _he_normal(rng, (channels, channels, 1), channels, dtype), f"{name}.pw1"))
-        self.norm1 = self.add_child(ChannelNorm(channels, dtype, track_running, f"{name}.norm1"))
+            he_normal(rng, (channels, channels, 1), channels, dtype), f"{name}.pw1"))
+        self.norm1 = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm1"))
         self.dw2 = self.register(parameter(
-            _he_normal(rng, (channels, kernel), kernel, dtype), f"{name}.dw2"))
+            he_normal(rng, (channels, kernel), kernel, dtype), f"{name}.dw2"))
         self.pw2 = self.register(parameter(
-            _he_normal(rng, (channels, channels, 1), channels, dtype), f"{name}.pw2"))
-        self.norm2 = self.add_child(ChannelNorm(channels, dtype, track_running, f"{name}.norm2"))
+            he_normal(rng, (channels, channels, 1), channels, dtype), f"{name}.pw2"))
+        self.norm2 = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm2"))
 
     def forward(self, x):
         x = F.separable_conv1d(F.relu(x), self.dw1, self.pw1, stride=self.stride)
@@ -140,15 +134,14 @@ class SepConv(Module):
 class DilConv(Module):
     """Single depthwise separable conv with dilation 2."""
 
-    def __init__(self, channels, kernel, stride, rng, dtype, track_running, name=""):
+    def __init__(self, channels, kernel, stride, rng, dtype, name=""):
         super().__init__()
         self.stride = stride
-        self.kernel = kernel
         self.dw = self.register(parameter(
-            _he_normal(rng, (channels, kernel), kernel, dtype), f"{name}.dw"))
+            he_normal(rng, (channels, kernel), kernel, dtype), f"{name}.dw"))
         self.pw = self.register(parameter(
-            _he_normal(rng, (channels, channels, 1), channels, dtype), f"{name}.pw"))
-        self.norm = self.add_child(ChannelNorm(channels, dtype, track_running, f"{name}.norm"))
+            he_normal(rng, (channels, channels, 1), channels, dtype), f"{name}.pw"))
+        self.norm = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm"))
 
     def forward(self, x):
         x = F.separable_conv1d(F.relu(x), self.dw, self.pw, stride=self.stride, dilation=2)
@@ -173,7 +166,7 @@ class AvgPool(Module):
         return F.avg_pool1d(x, kernel=3, stride=self.stride)
 
 
-def make_op(name, channels, stride, rng, dtype, track_running=False, tag=""):
+def make_op(name, channels, stride, rng, dtype, tag=""):
     """Instantiate one candidate by vocabulary name.
 
     Stride-1 ops preserve temporal length; stride-2 ops halve it.  The
@@ -185,19 +178,19 @@ def make_op(name, channels, stride, rng, dtype, track_running=False, tag=""):
     if name == "skip_connect":
         if stride == 1:
             return Identity()
-        return FactorizedReduce(channels, channels, rng, dtype, track_running, tag)
+        return FactorizedReduce(channels, channels, rng, dtype, tag)
     if name == "max_pool_3":
         return MaxPool(stride)
     if name == "avg_pool_3":
         return AvgPool(stride)
     if name == "sep_conv_3":
-        return SepConv(channels, 3, stride, rng, dtype, track_running, tag)
+        return SepConv(channels, 3, stride, rng, dtype, tag)
     if name == "sep_conv_5":
-        return SepConv(channels, 5, stride, rng, dtype, track_running, tag)
+        return SepConv(channels, 5, stride, rng, dtype, tag)
     if name == "dil_conv_3":
-        return DilConv(channels, 3, stride, rng, dtype, track_running, tag)
+        return DilConv(channels, 3, stride, rng, dtype, tag)
     if name == "dil_conv_5":
-        return DilConv(channels, 5, stride, rng, dtype, track_running, tag)
+        return DilConv(channels, 5, stride, rng, dtype, tag)
     raise ValueError(f"unknown candidate op {name!r}")
 
 
@@ -216,17 +209,14 @@ class MixedOp(Module):
 
 
 def mixed_forward(m, x, alpha_row):
-    """Relaxed categorical choice: sum_o softmax(alpha)_o * o(x)."""
-    if isinstance(alpha_row, Tensor):
-        raw = alpha_row.data
-    else:
-        raw = np.asarray(alpha_row)
+    """Relaxed categorical choice: sum_o softmax(alpha)_o * o(x); alpha_row is a Tensor."""
+    raw = alpha_row.data
     if raw.shape != (len(OP_VOCAB),):
         raise ValueError(
             f"alpha row must have {len(OP_VOCAB)} entries, got shape {raw.shape}"
         )
     if not np.all(np.isfinite(raw)):
         raise FloatingPointError("NaN/inf in architecture weights: search state is poisoned")
-    weights = F.softmax(alpha_row if isinstance(alpha_row, Tensor) else Tensor(raw), axis=-1)
+    weights = F.softmax(alpha_row, axis=-1)
     outs = [op.forward(x) for op in m.candidates]
     return F.weighted_sum(outs, weights)

@@ -21,7 +21,6 @@ import numpy as np
 from . import functional as F
 from .autograd import backward, reset_tape
 from .config import Config, spec
-from .serialize import load_arrays
 
 
 class NumericsError(RuntimeError):
@@ -111,8 +110,7 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for p, m, v in zip(self.params, self.m, self.v):
@@ -126,7 +124,7 @@ class Adam:
             v += (1 - b2) * np.square(g)
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def state_arrays(self, prefix):
         out = {}
@@ -153,9 +151,6 @@ class TripleState:
         if self.beta_opt is not None:
             out.update(self.beta_opt.state_arrays("beta"))
         return out
-
-    def load_state_arrays(self, arrays):
-        load_arrays(self.state_arrays(), arrays)
 
     def counters(self):
         return {

@@ -25,18 +25,17 @@ class TrainConfig(Config):
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
 
-def drop_path(x, p, training, rng):
-    """Zero whole per-sample edge outputs with probability p, rescaled.
+def drop_path(x, p, rng):
+    """Zero whole per-sample edge outputs of Tensor x with probability p, rescaled.
 
-    Identity outside training or at p=0.  Masks are independent across
-    calls (edges) and across samples within the batch.
+    Identity at p=0.  Masks are independent across calls (edges) and across
+    samples within the batch.
     """
-    if not training or p <= 0:
+    if p <= 0:
         return x
-    batch = x.shape[0]
-    keep = (rng.random(batch) >= p).astype(x.dtype.type if hasattr(x, "dtype") else np.float64)
+    keep = (rng.random(x.shape[0]) >= p).astype(x.dtype)
     mask = np.broadcast_to((keep / (1.0 - p))[:, None, None], x.shape)
-    return F.mul(x, Tensor(np.ascontiguousarray(mask).astype(x.data.dtype)))
+    return F.mul(x, Tensor(np.ascontiguousarray(mask)))
 
 
 def accuracy(logits, labels):
@@ -79,7 +78,7 @@ def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=
         order = D.epoch_order(config.seed, epoch, n, stream=3)
         dp_rng = np.random.default_rng([config.seed, epoch, 4])
         p = config.drop_path_p * epoch / config.epochs
-        reg = (lambda t: drop_path(t, p, True, dp_rng)) if p > 0 else None
+        reg = (lambda t: drop_path(t, p, dp_rng)) if p > 0 else None
         losses, hits, total = [], 0, 0
         for xb, yb in D.batches(session1, config.batch, order):
             reset_tape()

@@ -223,8 +223,7 @@ def test_grad_channel_norm_running_stats():
     rv = rng.uniform(0.5, 2.0, 2)
     finite_difference_check(
         lambda t: F.sum_all(F.mul(
-            F.channel_norm(t["x"], t["gamma"], t["beta"], use_batch_stats=False,
-                           running_mean=rm, running_var=rv),
+            F.channel_norm(t["x"], t["gamma"], t["beta"], running=(rm, rv), training=False),
             t["x"])),
         {"x": x, "gamma": np.ones(2), "beta": np.zeros(2)})
 

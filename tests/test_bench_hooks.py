@@ -13,7 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seqnas import cell, network, search
+from seqnas import cell, metrics, network, search, train
+from seqnas.cell import CellGenotype, Genotype
+from seqnas.data import make_windows, synth_generate
 from seqnas.optim import OptimizerConfig, make_triple_state
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -72,3 +74,29 @@ def test_trace_attributes_every_pass_of_a_triple_step(monkeypatch, xi, passes):
             while parent >= 0 and spans[parent][0] != "optim.unrolled":
                 parent = spans[parent][3]
             assert parent == unrolled[0]
+
+
+def test_trace_covers_final_training_and_embedding(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    ds = make_windows(synth_generate(3, sessions=2, length=128, seed=0), 32, 32)
+    nodes = [[("sep_conv_3", 0), ("skip_connect", 1)] for _ in range(4)]
+    genotype = Genotype(cells=[CellGenotype("normal", nodes),
+                               CellGenotype("reduction", nodes)]).validate()
+    net = network.instantiate_discrete(genotype, network.SupernetConfig(
+        num_cells=2, layout=("normal", "reduction"), init_channels=2,
+        num_classes=ds.num_classes, input_channels=2, use_gates=False), seed=0)
+    config = train.TrainConfig(epochs=2, batch=8, drop_path_p=0.5)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        train.train_final(net, ds, config)
+        metrics.embed(net, ds.windows, 8)
+
+    names = {s[0] for s in tracer.spans}
+    for name in ("train.step", "train.drop_path", "cell.discrete_forward",
+                 "cell.eval_forward", "functional.channel_norm.fwd",
+                 "functional.channel_norm.eval_fwd", "functional.channel_norm.bwd"):
+        assert name in names, name
+    assert not tracer.stack
+    assert all(s[2] >= s[1] for s in tracer.spans)  # every span was closed

@@ -196,8 +196,7 @@ def test_saturated_search_cell_equals_discrete_cell_with_its_weights():
         genotype = derive_genotype([alpha_arr], None, 0.2, ["normal"])
 
         search = SearchCell(3, 3, 3, False, False, r, np.float64)
-        discrete = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64,
-                                track_running=False)
+        discrete = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64)
         # give every discrete module the weights of its search counterpart
         pairs = [(discrete.pre0, search.pre0), (discrete.pre1, search.pre1)]
         for j, inputs in enumerate(discrete.node_inputs):
@@ -216,7 +215,6 @@ def test_saturated_search_cell_equals_discrete_cell_with_its_weights():
         reset_tape()
         assert np.allclose(soft.data, hard.data, atol=1e-5)
         # the weights carry the equality: a fresh discrete cell disagrees
-        fresh = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64,
-                             track_running=False)
+        fresh = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64)
         assert not np.allclose(fresh.forward(s0, s1).data, soft.data, atol=1e-2)
         reset_tape()

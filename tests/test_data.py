@@ -1,9 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from seqnas.data import (CsvSchema, DataError, SequenceRecord, batches,
-                         export_csv, ingest_csv, ingest_csv_text, make_windows,
-                         split_for_search, synth_generate, dataset_manifest)
+                         ingest_csv, make_windows, split_for_search, synth_generate)
 
 rng = np.random.default_rng(41)
 
@@ -12,12 +13,18 @@ def csv_text(rows):
     return "subject,session,ch0,ch1\n" + "\n".join(rows) + "\n"
 
 
-def test_ingest_groups_by_subject_and_session():
+def ingest_text(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return ingest_csv(path)
+
+
+def test_ingest_groups_by_subject_and_session(tmp_path):
     rows = []
     for subj in ("a", "b"):
         for sess in (1, 2):
             rows += [f"{subj},{sess},{i}.0,{i * 2}.0" for i in range(5)]
-    records = ingest_csv_text(csv_text(rows))
+    records = ingest_text(tmp_path, csv_text(rows))
     assert len(records) == 4
     assert {(r.subject_id, r.session_id) for r in records} == {
         ("a", 1), ("a", 2), ("b", 1), ("b", 2)}
@@ -25,47 +32,52 @@ def test_ingest_groups_by_subject_and_session():
     assert records[0].channel_names == ["ch0", "ch1"]
 
 
-def test_single_nan_interpolates_to_neighbor_mean():
+def test_single_nan_interpolates_to_neighbor_mean(tmp_path):
     rows = ["a,1,0.0,5.0", "a,1,nan,5.0", "a,1,4.0,5.0",
             "b,1,1.0,1.0", "b,1,1.0,1.0"]
-    records = ingest_csv_text(csv_text(rows))
+    records = ingest_text(tmp_path, csv_text(rows))
     a = next(r for r in records if r.subject_id == "a")
     assert a.channels["ch0"][1] == pytest.approx(2.0)  # mean of 0 and 4
 
 
-def test_long_nan_run_splits_record():
-    # 50 ms at 1000 Hz = 50 samples; a 60-sample gap must split
+def test_long_nan_run_splits_record(tmp_path):
+    # gaps of up to 50 samples (50 ms at 1 kHz) are filled; a 60-sample gap must split
     good = [f"a,1,{i}.0,0.0" for i in range(80)]
     gap = ["a,1,nan,0.0"] * 60
     tail = [f"a,1,{i}.0,0.0" for i in range(70)]
-    records = ingest_csv_text(csv_text(good + gap + tail))
+    records = ingest_text(tmp_path, csv_text(good + gap + tail))
     assert len(records) == 2
     assert sorted(r.length for r in records) == [70, 80]
 
 
-def test_short_nan_run_is_filled_not_split():
+def test_short_nan_run_is_filled_not_split(tmp_path):
     good = [f"a,1,{float(i)},0.0" for i in range(30)]
     gap = ["a,1,nan,0.0"] * 10
     tail = [f"a,1,{float(i)},0.0" for i in range(30)]
-    records = ingest_csv_text(csv_text(good + gap + tail))
+    records = ingest_text(tmp_path, csv_text(good + gap + tail))
     assert len(records) == 1
     assert records[0].length == 70
     assert np.all(np.isfinite(records[0].channels["ch0"]))
 
 
-def test_missing_column_and_empty_file_errors():
+def test_missing_column_and_empty_file_errors(tmp_path):
     with pytest.raises(DataError, match="session"):
-        ingest_csv_text("subject,ch0\na,1.0\n")
+        ingest_text(tmp_path, "subject,ch0\na,1.0\n")
     with pytest.raises(DataError, match="empty"):
-        ingest_csv_text("")
+        ingest_text(tmp_path, "")
     with pytest.raises(DataError, match="empty"):
-        ingest_csv_text("subject,session,ch0\n")
+        ingest_text(tmp_path, "subject,session,ch0\n")
 
 
 def test_export_ingest_roundtrip(tmp_path):
     records = synth_generate(3, sessions=2, length=64, channels=2, seed=5)
     path = tmp_path / "data.csv"
-    export_csv(records, path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject", "session", "ch0", "ch1"])
+        for rec in records:
+            for a, b in zip(rec.channels["ch0"], rec.channels["ch1"]):
+                writer.writerow([rec.subject_id, rec.session_id, repr(float(a)), repr(float(b))])
     back = ingest_csv(path)
     assert len(back) == len(records)
     by_key = {(r.subject_id, r.session_id): r for r in back}
@@ -73,13 +85,6 @@ def test_export_ingest_roundtrip(tmp_path):
         twin = by_key[(rec.subject_id, rec.session_id)]
         for name in rec.channel_names:
             assert np.array_equal(rec.channels[name], twin.channels[name])
-
-
-def test_manifest_lists_records():
-    records = synth_generate(2, sessions=2, length=32, seed=0)
-    m = dataset_manifest(records)
-    assert len(m["records"]) == 4
-    assert m["channels"] == ["ch0", "ch1"]
 
 
 def _flat_records(n_subjects=2, length=100):
@@ -95,9 +100,9 @@ def _flat_records(n_subjects=2, length=100):
 
 def test_window_counts_exact_tiling_and_overlap():
     records = _flat_records(length=100)
-    ds = make_windows(records, 50, 50, z_normalize=False)
+    ds = make_windows(records, 50, 50)
     assert sum(ds.sessions == 1) == 2 * 2  # 2 windows x 2 subjects
-    ds = make_windows(records, 50, 25, z_normalize=False)
+    ds = make_windows(records, 50, 25)
     assert sum(ds.sessions == 1) == 3 * 2
 
 
@@ -107,7 +112,7 @@ def test_window_too_long_names_records():
         make_windows(records, 64, 32)
 
 
-def test_long_nan_gap_skips_short_segment():
+def test_long_nan_gap_skips_short_segment(tmp_path):
     # an 80-sample gap at 300-380 of a 400-sample record leaves 20 samples
     # after it: too few for a 128-sample window, so that segment is skipped
     rng = np.random.default_rng(5)
@@ -118,7 +123,7 @@ def test_long_nan_gap_skips_short_segment():
             if (subject, session) == ("S0", 1):
                 values[300:380] = np.nan
             rows += [f"{subject},{session},{a},{b}" for a, b in values.tolist()]
-    records = ingest_csv_text("subject,session,ch0,ch1\n" + "\n".join(rows) + "\n")
+    records = ingest_text(tmp_path, csv_text(rows))
     assert sorted(r.length for r in records if (r.subject_id, r.session_id) == ("S0", 1)) \
         == [20, 300]
     ds = make_windows(records, 128, 64)
@@ -134,7 +139,7 @@ def test_z_normalization_uses_session1_statistics_only():
         if r.session_id == 2:
             for c in r.channels.values():
                 c += 10.0
-    ds = make_windows(records, 50, 25, z_normalize=True)
+    ds = make_windows(records, 50, 25)
     s1 = ds.windows[ds.sessions == 1]
     assert abs(float(s1.mean(axis=(0, 2))[0])) < 1e-6
     assert abs(float(s1.std(axis=(0, 2))[0]) - 1.0) < 1e-6
@@ -180,7 +185,7 @@ def test_synth_spectral_signatures():
 def test_fft_nearest_centroid_separability():
     """The generator guarantees a trivially learnable task at desk scale."""
     records = synth_generate(20, sessions=2, length=1280, seed=0)
-    ds = make_windows(records, 128, 64, z_normalize=True)
+    ds = make_windows(records, 128, 64)
 
     def features(w):
         return np.array([np.argmax(np.abs(np.fft.rfft(w[c]))[1:]) + 1
@@ -199,7 +204,7 @@ def test_fft_nearest_centroid_separability():
 
 def test_split_is_stratified_disjoint_and_seeded():
     records = _flat_records(n_subjects=3, length=250)
-    ds = make_windows(records, 50, 25, z_normalize=False).session_view(1)
+    ds = make_windows(records, 50, 25).session_view(1)
     assert len(ds) == 27  # 9 windows per subject
     train, val = split_for_search(ds, 0.5, seed=4)
     for k in range(3):
@@ -215,21 +220,21 @@ def test_split_is_stratified_disjoint_and_seeded():
 
 def test_split_exact_halves():
     records = _flat_records(n_subjects=2, length=500)
-    ds = make_windows(records, 50, 50, z_normalize=False).session_view(1)
+    ds = make_windows(records, 50, 50).session_view(1)
     train, val = split_for_search(ds, 0.5, seed=0)
     assert sum(train.labels == 0) == 5 and sum(val.labels == 0) == 5
 
 
 def test_split_single_window_subject_rejected():
     records = _flat_records(n_subjects=2, length=100)
-    ds = make_windows(records, 100, 100, z_normalize=False).session_view(1)
+    ds = make_windows(records, 100, 100).session_view(1)
     with pytest.raises(DataError, match="single window"):
         split_for_search(ds, 0.5, seed=0)
 
 
 def test_batches_cast_to_default_dtype():
     records = _flat_records(length=100)
-    ds = make_windows(records, 50, 50, z_normalize=False)
+    ds = make_windows(records, 50, 50)
     xb, yb = next(iter(batches(ds, 4)))
     assert xb.dtype == np.float32
     assert xb.shape == (4, 2, 50)

@@ -220,6 +220,31 @@ def test_discrete_forward_and_embedding():
     assert pooled.shape == (3, net.feature_dim)
 
 
+def test_network_decides_the_norm_mode():
+    # the supernet normalizes with batch statistics only; the discrete
+    # network also updates running statistics in a training-mode forward
+    def buffers(net):
+        arrays = net.state_arrays()
+        means = [v for k, v in arrays.items() if k.endswith(".running_mean")]
+        variances = [v for k, v in arrays.items() if k.endswith(".running_var")]
+        assert means and len(means) == len(variances)
+        return means, variances
+
+    x = rng.standard_normal((3, 2, 16)).astype(np.float32)
+    supernet = Supernet(small_config(), seed=0)
+    discrete = instantiate_discrete(_distinct_genotype(2), small_config(), seed=0)
+    for net in (supernet, discrete):
+        net.train(True)
+        net.forward(x)
+        reset_tape()
+    means, variances = buffers(supernet)
+    assert all(np.all(m == 0.0) for m in means)
+    assert all(np.all(v == 1.0) for v in variances)
+    means, variances = buffers(discrete)
+    assert all(np.any(m != 0.0) for m in means)
+    assert all(np.any(v != 1.0) for v in variances)
+
+
 def test_discrete_vocab_and_count_mismatch_errors():
     g = _distinct_genotype(2)
     with pytest.raises(NetworkError, match="cells"):

@@ -9,6 +9,7 @@ from seqnas.network import Supernet, SupernetConfig
 from seqnas.optim import (Adam, NumericsError, OptimizerConfig, SGD,
                           TripleState, _arch_grads_unrolled, clip_grad_norm,
                           cosine_lr, make_triple_state, triple_step)
+from seqnas.serialize import load_arrays
 
 rng = np.random.default_rng(31)
 
@@ -247,7 +248,7 @@ def test_triple_state_checkpoint_roundtrip():
 
     net2 = tiny_net(seed=10)
     state2 = make_triple_state(net2, OptimizerConfig())
-    state2.load_state_arrays(arrays)
+    load_arrays(state2.state_arrays(), arrays)
     state2.load_counters(counters)
     assert state2.step == 1
     assert state2.alpha_opt.t == state.alpha_opt.t

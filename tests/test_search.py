@@ -7,7 +7,7 @@ import pytest
 
 from seqnas.data import make_windows, synth_generate
 from seqnas.optim import NumericsError, OptimizerConfig
-from seqnas.search import SearchRunConfig, resume, run_search
+from seqnas.search import TIERS, SearchRunConfig, resume, run_search, search_split
 from seqnas.serialize import CheckpointError, encode_array, load_checkpoint, save_checkpoint
 
 
@@ -34,6 +34,13 @@ def test_zero_lr_search_returns_init_genotype():
     init_genotype = net.derive(meta={"seed": cfg.seed, "tier": cfg.tier,
                                      "config_hash": cfg.config_hash()})
     assert genotype.to_json() == init_genotype.to_json()
+
+
+def test_every_tier_searches_on_the_same_split():
+    # ablate takes one split hash for all tiers from a single search_split call
+    ds = micro_dataset()
+    hashes = {search_split(micro_config(tier=tier), ds)[2] for tier in TIERS}
+    assert len(hashes) == 1
 
 
 def test_search_is_seed_deterministic(tmp_path):

@@ -14,13 +14,12 @@ rng = np.random.default_rng(61)
 
 def test_drop_path_identity_when_disabled():
     x = Tensor(rng.standard_normal((4, 3, 8)).astype(np.float32))
-    assert drop_path(x, 0.0, True, np.random.default_rng(0)) is x
-    assert drop_path(x, 0.5, False, np.random.default_rng(0)) is x
+    assert drop_path(x, 0.0, np.random.default_rng(0)) is x
 
 
 def test_drop_path_masks_whole_samples_and_rescales():
     x = Tensor(np.ones((64, 2, 4), dtype=np.float32))
-    out = drop_path(x, 0.3, True, np.random.default_rng(5))
+    out = drop_path(x, 0.3, np.random.default_rng(5))
     reset_tape()
     per_sample = out.data.reshape(64, -1)
     zeroed = np.all(per_sample == 0.0, axis=1)
@@ -32,7 +31,7 @@ def test_drop_path_masks_whole_samples_and_rescales():
 def test_drop_path_monte_carlo_expectation():
     p = 0.3
     x = Tensor(np.full((10_000, 1, 1), 2.0, dtype=np.float32))
-    out = drop_path(x, p, True, np.random.default_rng(17))
+    out = drop_path(x, p, np.random.default_rng(17))
     reset_tape()
     mc = float(out.data.mean())
     assert abs(mc - 2.0) / 2.0 < 0.05
@@ -93,9 +92,9 @@ def test_training_ramps_drop_path_per_epoch(monkeypatch):
     net, _, ds, tcfg = _tiny_setup(epochs=4, drop_path_p=0.3)
     per_epoch = [set()]
 
-    def spy(x, p, training, rng):
+    def spy(x, p, rng):
         per_epoch[-1].add(p)
-        return drop_path(x, p, training, rng)
+        return drop_path(x, p, rng)
 
     monkeypatch.setattr(T, "drop_path", spy)
     train_final(net, ds, tcfg, epoch_callback=lambda *_: per_epoch.append(set()))
