@@ -3,17 +3,17 @@
 A module-level tape records every differentiable primitive application in
 execution order (a Wengert list).  Because the record order is already
 topological, a backward pass is a single reverse sweep that visits each
-recorded node exactly once.  Gradients accumulate with sum semantics into
-every tensor that requires them.
+recorded node exactly once.  A node's pullback returns one gradient (or
+None) per input and never writes a .grad: the sweep alone adds them, in
+input order, into every input that requires a gradient, with sum
+semantics.  The first gradient a tensor receives is copied, so a pullback
+may hand the same array to several inputs.
 """
 
 import contextlib
 import itertools
-import threading
 
 import numpy as np
-
-_STATE = threading.local()
 
 
 class ShapeError(ValueError):
@@ -24,16 +24,8 @@ class TapeError(RuntimeError):
     """Raised on tape misuse (empty tape, double backward, stale record)."""
 
 
-def _state():
-    if not hasattr(_STATE, "dtype"):
-        _STATE.dtype = np.float32
-        _STATE.tape = Tape()
-        _STATE.grad_enabled = True
-    return _STATE
-
-
 def default_dtype():
-    return _state().dtype
+    return _dtype
 
 
 def set_default_dtype(dtype):
@@ -41,7 +33,8 @@ def set_default_dtype(dtype):
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _state().dtype = dtype
+    global _dtype
+    _dtype = dtype
 
 
 @contextlib.contextmanager
@@ -135,7 +128,11 @@ class Tape:
 
     def backward(self, loss):
         """Reverse sweep that pops each node and clears its output's .grad (but the
-        loss's) as it pulls back, so only leaf tensors keep a gradient after it."""
+        loss's) as it pulls back, so only leaf tensors keep a gradient after it.
+
+        Each pullback returns one gradient or None per input, in input order;
+        this sweep is the only place they are added into .grad, and only into
+        inputs that require a gradient.  The first accumulation copies."""
         if loss.size != 1:
             raise TapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         if self.consumed:
@@ -154,16 +151,24 @@ class Tape:
             g = node.out.grad
             if g is not None:
                 node.out.grad = g if node.out is loss else None
-                node.backward_fn(g)
+                for t, gt in zip(node.inputs, node.backward_fn(g)):
+                    if t.requires_grad:
+                        t.accumulate_grad(gt)
+
+
+_dtype = np.dtype(np.float32)
+_tape = Tape()
+_grad_enabled = True
 
 
 def tape():
-    return _state().tape
+    return _tape
 
 
 def reset_tape():
     """Discard the current record and start a fresh tape."""
-    _state().tape = Tape()
+    global _tape
+    _tape = Tape()
 
 
 def backward(loss):
@@ -172,36 +177,33 @@ def backward(loss):
 
 
 def grad_enabled():
-    return _state().grad_enabled
+    return _grad_enabled
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable recording; forwards inside run without building the tape."""
-    st = _state()
-    prev = st.grad_enabled
-    st.grad_enabled = False
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        st.grad_enabled = prev
+        _grad_enabled = prev
 
 
 def record(op, inputs, out, backward_fn):
-    """Record a primitive if grad mode is on and any input requires grad.
+    """Record a primitive if grad mode is on and any input requires grad;
+    backward_fn(g) returns one gradient or None per input, in inputs order.
 
     A consumed tape is replaced transparently: the first recording after a
     backward pass starts a fresh record, and losses from the old record
     can no longer be backpropagated (their tape id is stale).
     """
-    if not grad_enabled():
+    if not _grad_enabled or not any(t.requires_grad for t in inputs):
         return out
-    if not any(t.requires_grad for t in inputs):
-        return out
-    st = _state()
-    if st.tape.consumed:
-        st.tape = Tape()
+    if _tape.consumed:
+        reset_tape()
     out.requires_grad = True
-    out.tape_id = st.tape.id
-    st.tape.nodes.append(Node(op, inputs, out, backward_fn))
+    out.tape_id = _tape.id
+    _tape.nodes.append(Node(op, inputs, out, backward_fn))
     return out

@@ -50,6 +50,8 @@ class Genotype:
         for ci, cell in enumerate(self.cells):
             if cell.kind not in ("normal", "reduction"):
                 raise GenotypeError(f"cell {ci}: bad kind {cell.kind!r}")
+            if len(cell.gates) != 2 or len(cell.pruned) != 2:
+                raise GenotypeError(f"cell {ci}: gates and pruned need one entry per input")
             if len(cell.nodes) != NUM_INTERMEDIATE:
                 raise GenotypeError(f"cell {ci}: expected {NUM_INTERMEDIATE} nodes")
             for j, entries in enumerate(cell.nodes):

@@ -11,6 +11,7 @@ and one column per channel; rows are samples in time order, grouped by
 """
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -177,8 +178,6 @@ class WindowedDataset:
                        sessions=self.sessions[indices])
 
     def content_hash(self):
-        import hashlib
-
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.windows).tobytes())
         h.update(self.labels.tobytes())

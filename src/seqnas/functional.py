@@ -2,7 +2,12 @@
 
 Every primitive validates shapes up front (raising ShapeError with the
 primitive name and the offending dims), computes with numpy, and records a
-pullback closure on the active tape.  Convolutions and pools use
+pullback closure on the active tape.  A pullback returns one entry per
+input, in input order: that input's gradient, or None.  It writes no
+.grad; Tape.backward adds the entries into the inputs that require one.
+A multi-input pullback skips the work for an input that requires no
+gradient; a single-input primitive records a node only when its input
+requires one, so its pullback never checks.  Convolutions and pools use
 "same-length" semantics: symmetric zero padding of (k-1)/2 * dilation per
 side, so stride-1 ops preserve temporal length and stride-2 ops emit
 ceil(T/stride) samples.
@@ -10,7 +15,7 @@ ceil(T/stride) samples.
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, record
+from .autograd import ShapeError, Tensor, default_dtype, record
 
 
 def _shape_check(cond, op, msg):
@@ -31,13 +36,12 @@ def add(a, b):
     _shape_check(a.shape == b.shape, "add", f"shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
+    return record("add", (a, b), out, lambda g: (g, g))
 
-    return record("add", (a, b), out, backward_fn)
+
+def _mul_grad(g, other, t):
+    gt = g * other.data
+    return np.sum(gt).reshape(t.shape) if t.size == 1 else gt
 
 
 def mul(a, b):
@@ -51,16 +55,8 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def backward_fn(g):
-        if a.requires_grad:
-            ga = g * b.data
-            if a.size == 1:
-                ga = np.sum(ga).reshape(a.shape)
-            a.accumulate_grad(ga)
-        if b.requires_grad:
-            gb = g * a.data
-            if b.size == 1:
-                gb = np.sum(gb).reshape(b.shape)
-            b.accumulate_grad(gb)
+        return [_mul_grad(g, other, t) if t.requires_grad else None
+                for t, other in ((a, b), (b, a))]
 
     return record("multiply", (a, b), out, backward_fn)
 
@@ -71,33 +67,21 @@ def scale(x, s):
     s = float(s)
     out = Tensor(x.data * s)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * s)
-
-    return record("scalar-scale", (x,), out, backward_fn)
+    return record("scalar-scale", (x,), out, lambda g: (g * s,))
 
 
 def sum_all(x):
     x = _tensor(x)
     out = Tensor(np.sum(x.data).reshape(()))
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, g.reshape(())))
-
-    return record("sum", (x,), out, backward_fn)
+    return record("sum", (x,), out, lambda g: (np.full_like(x.data, g.reshape(())),))
 
 
 def relu(x):
     x = _tensor(x)
     out = Tensor(np.maximum(x.data, 0))
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (x.data > 0))
-
-    return record("relu", (x,), out, backward_fn)
+    return record("relu", (x,), out, lambda g: (g * (x.data > 0),))
 
 
 def take(x, i):
@@ -108,10 +92,9 @@ def take(x, i):
     out = Tensor(np.array(x.data[i]))
 
     def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[i] = g.reshape(())
-            x.accumulate_grad(gx)
+        gx = np.zeros_like(x.data)
+        gx[i] = g.reshape(())
+        return (gx,)
 
     return record("take", (x,), out, backward_fn)
 
@@ -124,10 +107,9 @@ def take_row(x, i):
     out = Tensor(x.data[i].copy())
 
     def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[i] = g
-            x.accumulate_grad(gx)
+        gx = np.zeros_like(x.data)
+        gx[i] = g
+        return (gx,)
 
     return record("take_row", (x,), out, backward_fn)
 
@@ -151,14 +133,11 @@ def weighted_sum(xs, w):
     out = Tensor(acc)
 
     def backward_fn(g):
-        for i, t in enumerate(xs):
-            if t.requires_grad:
-                t.accumulate_grad(g * w.data[i])
+        gw = None
         if w.requires_grad:
             gr = g.ravel()
-            gw = np.array([np.dot(gr, t.data.ravel()) for t in xs],
-                          dtype=w.data.dtype)
-            w.accumulate_grad(gw)
+            gw = np.array([np.dot(gr, t.data.ravel()) for t in xs], dtype=w.data.dtype)
+        return [g * w.data[i] if t.requires_grad else None for i, t in enumerate(xs)] + [gw]
 
     return record("weighted_sum", (*xs, w), out, backward_fn)
 
@@ -181,13 +160,7 @@ def concat(xs, axis=1):
     sizes = [t.shape[axis] for t in xs]
     splits = np.cumsum(sizes)[:-1]
 
-    def backward_fn(g):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(xs, pieces):
-            if t.requires_grad:
-                t.accumulate_grad(piece)
-
-    return record("concat", tuple(xs), out, backward_fn)
+    return record("concat", tuple(xs), out, lambda g: np.split(g, splits, axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +184,12 @@ def _taps(xp, k, stride, dilation, t_out):
 
 def _untap(x, pad, tap_grads, stride, dilation, t_out):
     """Adjoint of _taps then unpadding: sum the per-tap gradients, in order,
-    into a padded buffer and accumulate its interior into x."""
+    into a padded buffer and return its interior, the gradient of x."""
     dxp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad,), dtype=x.data.dtype)
     hi = (t_out - 1) * stride + 1
     for j, gj in enumerate(tap_grads):
         dxp[:, :, j * dilation : j * dilation + hi : stride] += gj
-    x.accumulate_grad(dxp[:, :, pad : pad + x.shape[2]] if pad else dxp)
+    return dxp[:, :, pad : pad + x.shape[2]] if pad else dxp
 
 
 def _pad_time(x, pad, fill=0.0):
@@ -248,16 +221,16 @@ def conv1d(x, w, stride=1, dilation=1):
         out = Tensor(np.matmul(w2, xs))
 
         def backward_fn(g):
+            gw = dx = None
             if w.requires_grad:
-                gw = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)
-                w.accumulate_grad(gw[:, :, None])
+                gw = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)[:, :, None]
             if x.requires_grad:
                 if stride == 1:
-                    x.accumulate_grad(np.matmul(w2.T, g))
+                    dx = np.matmul(w2.T, g)
                 else:
                     dx = np.zeros_like(x.data)
                     dx[:, :, ::stride] = np.matmul(w2.T, g)
-                    x.accumulate_grad(dx)
+            return dx, gw
 
         return record("conv1d", (x, w), out, backward_fn)
 
@@ -270,12 +243,13 @@ def conv1d(x, w, stride=1, dilation=1):
     out = Tensor(np.matmul(w2, cols))
 
     def backward_fn(g):
+        gw = dx = None
         if w.requires_grad:
-            gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-            w.accumulate_grad(gw.reshape(c_out, C, k))
+            gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, C, k)
         if x.requires_grad:
             dcols = np.matmul(w2.T, g).reshape(B, C, k, t_out)
-            _untap(x, pad, (dcols[:, :, j, :] for j in range(k)), stride, dilation, t_out)
+            dx = _untap(x, pad, (dcols[:, :, j, :] for j in range(k)), stride, dilation, t_out)
+        return dx, gw
 
     return record("conv1d", (x, w), out, backward_fn)
 
@@ -299,13 +273,14 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
     out = Tensor(acc)
 
     def backward_fn(g):
+        gw = dx = None
         if w.requires_grad:
             gw = np.stack([np.einsum("bct,bct->c", g, tap) for tap in taps], axis=1)
-            w.accumulate_grad(gw)
         if x.requires_grad:
             prod = np.empty_like(g)
-            _untap(x, pad, (np.multiply(w.data[None, :, j, None], g, out=prod)
-                            for j in range(k)), stride, dilation, t_out)
+            dx = _untap(x, pad, (np.multiply(w.data[None, :, j, None], g, out=prod)
+                                 for j in range(k)), stride, dilation, t_out)
+        return dx, gw
 
     return record("depthwise_conv1d", (x, w), out, backward_fn)
 
@@ -328,13 +303,11 @@ def max_pool1d(x, kernel=3, stride=1):
     out = Tensor(m)
 
     def backward_fn(g):
-        if not x.requires_grad:
-            return
         hits, claimed = [], np.zeros_like(m, dtype=bool)
         for tap in taps:
             hits.append((tap == m) & ~claimed)  # ties route to the earliest tap
             claimed |= hits[-1]
-        _untap(x, pad, (g * hit for hit in hits), stride, 1, t_out)
+        return (_untap(x, pad, (g * hit for hit in hits), stride, 1, t_out),)
 
     return record("max_pool1d", (x,), out, backward_fn)
 
@@ -353,13 +326,8 @@ def avg_pool1d(x, kernel=3, stride=1):
     taps = _taps(xp, kernel, stride, 1, t_out)
     out = Tensor(sum(taps) / counts)
 
-    def backward_fn(g):
-        if not x.requires_grad:
-            return
-        gc = g / counts
-        _untap(x, pad, [gc] * kernel, stride, 1, t_out)
-
-    return record("avg_pool1d", (x,), out, backward_fn)
+    return record("avg_pool1d", (x,), out,
+                  lambda g: (_untap(x, pad, [g / counts] * kernel, stride, 1, t_out),))
 
 
 def shift_time(x):
@@ -371,10 +339,9 @@ def shift_time(x):
     out = Tensor(data)
 
     def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, :, 1:] = g[:, :, :-1]
-            x.accumulate_grad(gx)
+        gx = np.zeros_like(x.data)
+        gx[:, :, 1:] = g[:, :, :-1]
+        return (gx,)
 
     return record("shift_time", (x,), out, backward_fn)
 
@@ -421,10 +388,9 @@ def channel_norm(x, gamma, beta, running=None, training=True):
     out = Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None])
 
     def backward_fn(g):
-        if gamma.requires_grad:
-            gamma.accumulate_grad(np.einsum("bct,bct->c", g, xhat))
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(0, 2)))
+        dx = None
+        dgamma = np.einsum("bct,bct->c", g, xhat) if gamma.requires_grad else None
+        dbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
         if x.requires_grad:
             gs = g * gamma.data[None, :, None]
             if batch_stats:
@@ -436,7 +402,7 @@ def channel_norm(x, gamma, beta, running=None, training=True):
                 dx *= inv_std[None, :, None]
             else:
                 dx = np.multiply(gs, inv_std[None, :, None], out=gs)
-            x.accumulate_grad(dx)
+        return dx, dgamma, dbeta
 
     return record("channel_norm", (x, gamma, beta), out, backward_fn)
 
@@ -448,11 +414,8 @@ def global_avg_pool(x):
     T = x.shape[2]
     out = Tensor(x.data.mean(axis=2))
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.repeat(g[:, :, None], T, axis=2) / T)
-
-    return record("global_avg_pool", (x,), out, backward_fn)
+    return record("global_avg_pool", (x,), out,
+                  lambda g: (np.repeat(g[:, :, None], T, axis=2) / T,))
 
 
 def linear(x, w, b):
@@ -469,12 +432,9 @@ def linear(x, w, b):
     out = Tensor(x.data @ w.data.T + b.data)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            w.accumulate_grad(g.T @ x.data)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+        return (g @ w.data if x.requires_grad else None,
+                g.T @ x.data if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
     return record("linear", (x, w, b), out, backward_fn)
 
@@ -487,9 +447,8 @@ def softmax(x, axis=-1):
     out = Tensor(y)
 
     def backward_fn(g):
-        if x.requires_grad:
-            dot = np.sum(g * y, axis=axis, keepdims=True)
-            x.accumulate_grad(y * (g - dot))
+        dot = np.sum(g * y, axis=axis, keepdims=True)
+        return (y * (g - dot),)
 
     return record("softmax", (x,), out, backward_fn)
 
@@ -501,12 +460,8 @@ def log_softmax(x, axis=-1):
     ls = z - lse
     out = Tensor(ls)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            sm = np.exp(ls)
-            x.accumulate_grad(g - sm * g.sum(axis=axis, keepdims=True))
-
-    return record("log_softmax", (x,), out, backward_fn)
+    return record("log_softmax", (x,), out,
+                  lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
 
 
 def cross_entropy(logits, labels):
@@ -527,16 +482,13 @@ def cross_entropy(logits, labels):
     out = Tensor(np.array(-ls[np.arange(B), labels].mean()).reshape(()))
 
     def backward_fn(g):
-        if logits.requires_grad:
-            sm = np.exp(ls)
-            sm[np.arange(B), labels] -= 1.0
-            logits.accumulate_grad(sm * (g.reshape(()) / B))
+        sm = np.exp(ls)
+        sm[np.arange(B), labels] -= 1.0
+        return (sm * (g.reshape(()) / B),)
 
     return record("cross_entropy", (logits,), out, backward_fn)
 
 
 def zeros(shape, dtype=None):
     """Constant all-zero tensor (never requires grad)."""
-    from .autograd import default_dtype
-
     return Tensor(np.zeros(shape, dtype=dtype or default_dtype()))

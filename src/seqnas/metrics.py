@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import no_grad
+from .autograd import Tensor, default_dtype, no_grad
 from .serialize import atomic_write
 
 
@@ -107,8 +107,6 @@ def frr_at_far(scores: ScoreSet, far_target):
 
 def embed(net, windows, batch_size=256):
     """L2-normalized pre-logit embeddings for a stack of windows."""
-    from .autograd import Tensor, default_dtype
-
     net.eval()
     rows = []
     with no_grad():

@@ -16,18 +16,8 @@ class Module:
         return child
 
     def parameters(self):
-        seen = set()
-        out = []
-        for p in self._params:
-            if id(p) not in seen:
-                seen.add(id(p))
-                out.append(p)
-        for c in self._children:
-            for p in c.parameters():
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    out.append(p)
-        return out
+        """Every registered tensor once, in walk() preorder of first registration."""
+        return list({id(p): p for m in self.walk() for p in m._params}.values())
 
     def walk(self):
         yield self
@@ -35,9 +25,8 @@ class Module:
             yield from c.walk()
 
     def train(self, mode=True):
-        self.training = mode
-        for c in self._children:
-            c.train(mode)
+        for m in self.walk():
+            m.training = mode
         return self
 
     def eval(self):

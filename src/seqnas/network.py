@@ -18,7 +18,7 @@ from . import functional as F
 from .autograd import Tensor, default_dtype, parameter
 from .cell import (NUM_EDGES, DiscreteCell, SearchCell, derive_genotype,
                    gate_coefficients)
-from .config import Config, spec
+from .config import Config, ConfigError, spec
 from .module import Module
 from .ops import ChannelNorm, OP_VOCAB, he_normal
 from .serialize import load_arrays
@@ -45,6 +45,9 @@ class CellStackConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.gate_threshold > self.gate_scale / 2:  # both gates could fall below it
+            raise ConfigError("gate_threshold", f"must be <= gate_scale / 2 = "
+                              f"{self.gate_scale / 2}, got {self.gate_threshold!r}")
         if len(self.layout) != self.num_cells:
             raise NetworkError(
                 f"layout has {len(self.layout)} entries for {self.num_cells} cells"

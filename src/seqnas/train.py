@@ -9,9 +9,11 @@ import numpy as np
 from . import data as D
 from . import functional as F
 from .autograd import Tensor, backward, reset_tape
+from .cell import Genotype
 from .config import Config, spec
+from .network import DiscreteNetwork, SupernetConfig
 from .optim import NumericsError, OptimizerConfig, clip_grad_norm, cosine_lr, SGD
-from .serialize import RunLog, load_arrays, save_checkpoint
+from .serialize import CheckpointError, RunLog, load_arrays, save_checkpoint
 
 
 @dataclass
@@ -36,11 +38,6 @@ def drop_path(x, p, rng):
     keep = (rng.random(x.shape[0]) >= p).astype(x.dtype)
     mask = np.broadcast_to((keep / (1.0 - p))[:, None, None], x.shape)
     return F.mul(x, Tensor(np.ascontiguousarray(mask)))
-
-
-def accuracy(logits, labels):
-    pred = np.argmax(logits.data if isinstance(logits, Tensor) else logits, axis=1)
-    return float(np.mean(pred == labels))
 
 
 def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=None):
@@ -128,14 +125,22 @@ def save_trained(path, net, genotype, train_config, history):
 
 
 def load_trained(path):
-    """Rebuild the discrete network held by a training checkpoint."""
-    from .cell import Genotype
-    from .network import DiscreteNetwork, SupernetConfig
+    """Rebuild the discrete network held by a training checkpoint; its config must
+    hold the genotype, supernet and train sections that eval reads."""
+    # looked up per call: the benchmark's tracer times serialize.load_checkpoint
+    # by patching that module attribute, which a top-level import would bypass
     from .serialize import load_checkpoint
 
     doc = load_checkpoint(path, expect_kind="train")
-    genotype = Genotype.from_json_dict(doc["config"]["genotype"])
-    sup_cfg = SupernetConfig.from_dict(doc["config"]["supernet"], "config.supernet")
+    config = doc["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError(
+            f"checkpoint config must be an object, got {type(config).__name__}")
+    for section in ("genotype", "supernet", "train"):
+        if not isinstance(config.get(section), dict):
+            raise CheckpointError(f"checkpoint config.{section} is missing or not an object")
+    genotype = Genotype.from_json_dict(config["genotype"])
+    sup_cfg = SupernetConfig.from_dict(config["supernet"], "config.supernet")
     net = DiscreteNetwork(genotype, sup_cfg, seed=0)
     load_arrays({f"net:{k}": v for k, v in net.state_arrays().items()}, doc["arrays"])
     net.eval()

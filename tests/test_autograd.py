@@ -298,3 +298,67 @@ def test_bitwise_determinism():
     assert np.array_equal(o1, o2)
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+# ---------------------------------------------------------------------------
+# the pullback contract: one gradient per input, added into .grad by the sweep
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: F.add(x, x), lambda x: F.mul(x, x), lambda x: F.concat([x, x]),
+], ids=["add", "mul", "concat"])
+def test_grad_one_tensor_used_twice_by_one_node(make):
+    x = np.random.default_rng(7).standard_normal((2, 3, 4))
+    finite_difference_check(lambda t: F.sum_all(F.mul(make(t["x"]), make(t["x"]))),
+                            {"x": x})
+
+
+def test_add_gives_each_input_its_own_gradient_array():
+    a, b = parameter(np.ones(3)), parameter(np.ones(3))
+    backward(F.sum_all(F.mul(F.add(a, b), Tensor([1.0, 2.0, 3.0]))))
+    a.grad[...] = 7.0
+    assert np.array_equal(b.grad, [1.0, 2.0, 3.0])
+
+
+NORM_RUNNING = (np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.0, 2.0]))
+FROZEN_CASES = {  # op over its inputs, and the input shapes
+    "add": (F.add, [(2, 3, 4), (2, 3, 4)]),
+    "mul": (F.mul, [(2, 3, 4), (2, 3, 4)]),
+    "mul_size1": (F.mul, [(2, 3, 4), (1,)]),
+    "weighted_sum": (lambda a, b, w: F.weighted_sum([a, b], w), [(2, 3, 4), (2, 3, 4), (2,)]),
+    "concat": (lambda a, b: F.concat([a, b]), [(2, 3, 4), (2, 2, 4)]),
+    "conv1d_k1": (F.conv1d, [(2, 3, 8), (4, 3, 1)]),
+    "conv1d_k1_s2": (lambda x, w: F.conv1d(x, w, stride=2), [(2, 3, 8), (4, 3, 1)]),
+    "conv1d_k3": (F.conv1d, [(2, 3, 8), (4, 3, 3)]),
+    "conv1d_k3_s2": (lambda x, w: F.conv1d(x, w, stride=2), [(2, 3, 8), (4, 3, 3)]),
+    "depthwise_conv1d": (F.depthwise_conv1d, [(2, 3, 8), (3, 3)]),
+    "channel_norm": (F.channel_norm, [(2, 3, 8), (3,), (3,)]),
+    "channel_norm_running": (
+        lambda x, g, b: F.channel_norm(x, g, b, running=NORM_RUNNING, training=False),
+        [(2, 3, 8), (3,), (3,)]),
+    "linear": (F.linear, [(2, 5), (4, 5), (4,)]),
+}
+
+
+def _input_grads(op, arrays, frozen=None):
+    """Each input's .grad after backward of a weighted sum of op's output."""
+    reset_tape()
+    inputs = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+    out = op(*inputs)
+    weights = Tensor(np.random.default_rng(1).standard_normal(out.shape))
+    backward(F.sum_all(F.mul(out, weights)))
+    return [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_frozen_input_gets_no_gradient_and_leaves_the_others_bitwise(case):
+    op, shapes = FROZEN_CASES[case]
+    r = np.random.default_rng(3)
+    arrays = [r.standard_normal(s) for s in shapes]
+    full = _input_grads(op, arrays)
+    for frozen in range(len(arrays)):
+        grads = _input_grads(op, arrays, frozen)
+        assert grads[frozen] is None
+        for i, (g, ref) in enumerate(zip(grads, full)):
+            if i != frozen:
+                assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), (frozen, i)

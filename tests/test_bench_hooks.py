@@ -100,3 +100,25 @@ def test_trace_covers_final_training_and_embedding(monkeypatch):
         assert name in names, name
     assert not tracer.stack
     assert all(s[2] >= s[1] for s in tracer.spans)  # every span was closed
+
+
+def test_trace_times_every_pullback_inside_the_sweep(monkeypatch):
+    # the tracer times each node.backward_fn the sweep calls; a sweep that stopped
+    # calling it would zero every functional.*.bwd_s of the benchmark
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    net = network.Supernet(network.SupernetConfig(
+        num_cells=2, layout=("normal", "reduction"), init_channels=2,
+        num_classes=2, input_channels=2), seed=0)
+    state = make_triple_state(net, OptimizerConfig(xi=0.0))
+    r = np.random.default_rng(1)
+    train_b = (r.standard_normal((2, 2, 8)), np.array([0, 1]))
+    val_b = (r.standard_normal((2, 2, 8)), np.array([1, 0]))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        search.triple_step(net, train_b, val_b, state, 0.01)
+
+    closed = {s[0] for s in tracer.spans if s[2] >= s[1]}
+    for op in ("conv1d", "depthwise_conv1d", "channel_norm", "weighted_sum", "add"):
+        assert f"functional.{op}.bwd" in closed, op

@@ -354,6 +354,9 @@ BAD_CONFIGS = [
     ("ablate", ["--seed", "-3"], {}, "search.seed", "--seed"),
     ("ablate", [], {"train": {"seed": 1.5}}, "train.seed", None),
     ("ablate", [], {"search": {"train_batch": None}}, "search.train_batch", None),
+    # the two gate coefficients sum to gate_scale: a cut above half could prune both
+    ("search", ["--gate-scale", "1", "--threshold", "0.6"], {}, "search.gate_threshold",
+     "--threshold"),
 ]
 
 
@@ -414,3 +417,34 @@ def test_bad_checkpoint_config_is_data_error(tmp_path, capsys, section, key, val
     assert run_cli(["eval", *MICRO_DATA, "--weights", weights,
                     "--out", tmp_path / "eval"]) == 3
     assert repr(f"config.{section}.{key}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda doc: doc["config"].pop("supernet"), "config.supernet"),
+    (lambda doc: doc["config"].pop("train"), "config.train"),
+    (lambda doc: doc.update(config="not a config"), "config must be an object"),
+], ids=["no-supernet", "no-train", "config-string"])
+def test_malformed_trained_checkpoint_is_data_error(tmp_path, capsys, damage, named):
+    geno = _searched_genotype(tmp_path)
+    weights = tmp_path / "train" / "weights.json"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                    "--epochs", "0", "--out", weights.parent]) == 0
+    doc = json.loads(weights.read_text())
+    damage(doc)
+    weights.write_text(json.dumps(doc))
+    out = tmp_path / "eval"
+    assert run_cli(["eval", *MICRO_DATA, "--weights", weights, "--out", out]) == 3
+    assert named in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_genotype_with_short_pruned_list_fails_before_manifest(tmp_path, capsys):
+    geno = _searched_genotype(tmp_path)
+    doc = json.loads(geno.read_text())
+    doc["cells"][0]["gates"]["pruned"] = [True]
+    geno.write_text(json.dumps(doc))
+    out = tmp_path / "train"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                    "--epochs", "1", "--out", out]) == 3
+    assert "cell 0: gates and pruned need one entry per input" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
