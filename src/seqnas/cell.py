@@ -28,6 +28,16 @@ class GenotypeError(ValueError):
     """Raised for malformed or inconsistent genotypes."""
 
 
+_JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float), "string": str}
+
+
+def _json_value(value, kind, name):
+    """value if it is a JSON `kind`: only a boolean may be a bool."""
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        raise GenotypeError(f"{name} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 @dataclass
 class CellGenotype:
     kind: str
@@ -96,16 +106,21 @@ class Genotype:
 
     @classmethod
     def from_json_dict(cls, d):
+        """The genotype of a JSON document; a value of the wrong JSON type is an
+        error, never coerced (a bool is not a number, a number not a bool)."""
         try:
             cells = [
                 CellGenotype(
-                    kind=c["kind"],
+                    kind=_json_value(c["kind"], "string", "kind"),
                     nodes=[
-                        [(e["op"], int(e["from"])) for e in entries]
+                        [(_json_value(e["op"], "string", "op"),
+                          _json_value(e["from"], "integer", "from")) for e in entries]
                         for entries in c["nodes"]
                     ],
-                    gates=(float(c["gates"]["s0"]), float(c["gates"]["s1"])),
-                    pruned=tuple(bool(p) for p in c["gates"]["pruned"]),
+                    gates=tuple(float(_json_value(c["gates"][k], "number", k))
+                                for k in ("s0", "s1")),
+                    pruned=tuple(_json_value(p, "boolean", "pruned")
+                                 for p in c["gates"]["pruned"]),
                 )
                 for c in d["cells"]
             ]

@@ -90,9 +90,9 @@ def _load_config_file(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise D.DataError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise D.DataError(f"config file {path}: top level must be an object")
@@ -259,10 +259,12 @@ def cmd_train(args):
     config, init_channels = _train_config(cfg["train"], 8)
     dataset, data_desc, input_hash = _build_dataset(args, cfg["data"], config.seed)
     try:
-        with open(args.genotype) as fh:
+        with open(args.genotype, encoding="utf-8") as fh:
             genotype = Genotype.from_json(fh.read())
     except OSError as exc:
         raise D.DataError(f"cannot read genotype {args.genotype}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GenotypeError(f"genotype {args.genotype} is not UTF-8 text: {exc}") from exc
 
     out = args.out
     write_manifest(

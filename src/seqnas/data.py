@@ -91,9 +91,9 @@ def ingest_csv(path, schema: CsvSchema = None):
     """Parse a CSV file into records grouped by (subject, session)."""
     schema = schema or CsvSchema()
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             return _ingest(fh, schema)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 

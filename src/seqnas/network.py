@@ -21,7 +21,6 @@ from .cell import (NUM_EDGES, DiscreteCell, SearchCell, derive_genotype,
 from .config import Config, ConfigError, spec
 from .module import Module
 from .ops import ChannelNorm, OP_VOCAB, he_normal
-from .serialize import load_arrays
 
 NODE_MULTIPLIER = 4  # cell output concatenates 4 intermediate nodes
 
@@ -142,9 +141,6 @@ class _Backbone(Module):
                 out[f"{m.tag}.running_mean"] = m.running_mean
                 out[f"{m.tag}.running_var"] = m.running_var
         return out
-
-    def load_state_arrays(self, arrays):
-        load_arrays(self.state_arrays(), arrays, NetworkError)
 
 
 class Supernet(_Backbone):

@@ -21,6 +21,7 @@ import numpy as np
 from . import functional as F
 from .autograd import backward, reset_tape
 from .config import Config, spec
+from .serialize import CheckpointError
 
 
 class NumericsError(RuntimeError):
@@ -161,11 +162,16 @@ class TripleState:
         }
 
     def load_counters(self, d):
-        self.epoch = int(d["epoch"])
-        self.step = int(d["step"])
-        self.alpha_opt.t = int(d["alpha_t"])
+        """Restore the counters; one missing or not a non-negative integer is a
+        CheckpointError naming it."""
+        for name in self.counters():
+            value = d.get(name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise CheckpointError(f"checkpoint counters.{name} must be a "
+                                      f"non-negative integer, got {value!r}")
+        self.epoch, self.step, self.alpha_opt.t = d["epoch"], d["step"], d["alpha_t"]
         if self.beta_opt is not None:
-            self.beta_opt.t = int(d["beta_t"])
+            self.beta_opt.t = d["beta_t"]
 
 
 def make_triple_state(net, config: OptimizerConfig):

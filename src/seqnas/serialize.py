@@ -115,12 +115,12 @@ def save_checkpoint(path, kind, config, counters, arrays, extra=None):
 def load_checkpoint(path, expect_kind=None):
     """Parse and fully validate a checkpoint; nothing is mutated on failure."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+        raise CheckpointError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise CheckpointError(f"{path} is not a {FORMAT} file")
     if doc.get("version") != VERSION:
@@ -131,22 +131,24 @@ def load_checkpoint(path, expect_kind=None):
         raise CheckpointError(
             f"expected a {expect_kind!r} checkpoint, found {doc.get('kind')!r}"
         )
-    for key in ("config", "counters", "arrays"):
-        if key not in doc:
-            raise CheckpointError(f"checkpoint missing field {key!r}")
+    for key in ("config", "counters", "extra", "arrays"):
+        if not isinstance(doc.get(key), dict):
+            found = type(doc[key]).__name__ if key in doc else "nothing"
+            raise CheckpointError(f"checkpoint {key} must be an object, got {found}")
     doc["arrays"] = {name: decode_array(d) for name, d in doc["arrays"].items()}
     return doc
 
 
-def load_arrays(live, saved, error=CheckpointError):
+def load_arrays(live, saved):
     """Copy saved[name] into each live array, cast to its dtype, once every name
-    and shape is checked: on a mismatch (raised as error) nothing is copied."""
+    and shape is checked: on a mismatch (a CheckpointError) nothing is copied."""
     missing, extra = sorted(set(live) - set(saved)), sorted(set(saved) - set(live))
     if missing or extra:
-        raise error(f"checkpoint array mismatch: missing={missing[:4]} extra={extra[:4]}")
+        raise CheckpointError(
+            f"checkpoint array mismatch: missing={missing[:4]} extra={extra[:4]}")
     for name, dst in live.items():
         if np.shape(saved[name]) != dst.shape:
-            raise error(f"checkpoint array {name} shape mismatch: "
-                        f"{np.shape(saved[name])} vs {dst.shape}")
+            raise CheckpointError(f"checkpoint array {name} shape mismatch: "
+                                  f"{np.shape(saved[name])} vs {dst.shape}")
     for name, dst in live.items():
         dst[...] = saved[name]

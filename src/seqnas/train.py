@@ -40,15 +40,15 @@ def drop_path(x, p, rng):
     return F.mul(x, Tensor(np.ascontiguousarray(mask)))
 
 
-def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=None):
-    """Identification training on session-1 windows; keeps the best epoch.
+def train_final(net, dataset, config: TrainConfig, out_dir=None):
+    """Identification training on session-1 windows; keeps the last epoch.
 
     Drop-path ramps linearly as in DARTS: epoch e uses
     drop_path_p * e / epochs, so epoch 0 draws no mask and drop_path_p
     bounds the ramp from above.
 
     Returns a list of per-epoch dicts (epoch, loss, accuracy, lr).  The
-    network is left holding the weights of its best-accuracy epoch.
+    network is left, in eval mode, as the last SGD step left it, as in DARTS.
     """
     session1 = dataset.session_view(1)
     if len(session1) == 0:
@@ -61,7 +61,6 @@ def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=
 
     opt = SGD(net.parameters(), config.optimizer.momentum, config.optimizer.weight_decay)
     history = []
-    best = {"accuracy": -1.0, "arrays": None, "epoch": -1}
     net.train(True)
     n = len(session1)
 
@@ -94,14 +93,6 @@ def train_final(net, dataset, config: TrainConfig, out_dir=None, epoch_callback=
                "accuracy": hits / total, "lr": lr}
         history.append(row)
         log.append(*row.values())
-        if row["accuracy"] > best["accuracy"]:
-            best = {"accuracy": row["accuracy"], "epoch": epoch,
-                    "arrays": {k: v.copy() for k, v in net.state_arrays().items()}}
-        if epoch_callback is not None:
-            epoch_callback(net, row)
-
-    if best["arrays"] is not None:
-        net.load_state_arrays(best["arrays"])
     net.eval()
     return history
 
@@ -118,9 +109,7 @@ def save_trained(path, net, genotype, train_config, history):
         },
         {"epochs": len(history)},
         arrays,
-        extra={"best_epoch": max(range(len(history)),
-                                 key=lambda i: history[i]["accuracy"]) if history else -1,
-               "final_accuracy": history[-1]["accuracy"] if history else None},
+        extra={"final_accuracy": history[-1]["accuracy"] if history else None},
     )
 
 
@@ -133,9 +122,6 @@ def load_trained(path):
 
     doc = load_checkpoint(path, expect_kind="train")
     config = doc["config"]
-    if not isinstance(config, dict):
-        raise CheckpointError(
-            f"checkpoint config must be an object, got {type(config).__name__}")
     for section in ("genotype", "supernet", "train"):
         if not isinstance(config.get(section), dict):
             raise CheckpointError(f"checkpoint config.{section} is missing or not an object")

@@ -24,6 +24,7 @@ from seqnas.optim import (OptimizerConfig, _arch_grads_unrolled,
                           make_triple_state, triple_step)
 from seqnas.ops import mixed_forward
 from seqnas.search import SearchRunConfig, run_search
+from seqnas.serialize import load_arrays
 from helpers import eer_oracle, frr_at_far_oracle
 
 rng = np.random.default_rng(2024)
@@ -270,7 +271,7 @@ def test_criterion_5_algorithm_fidelity():
         val_b = (r.standard_normal((2, 2, 16)), np.array([1, 0]))
         snapshot = {k: v.copy() for k, v in net.state_arrays().items()}
         d_arch, _ = _arch_grads_unrolled(net, train_b, val_b, xi)
-        net.load_state_arrays(snapshot)
+        load_arrays(net.state_arrays(), snapshot)
 
         def unrolled_loss():
             ws = net.weight_parameters()

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from seqnas.cell import CellGenotype, Genotype
 from seqnas.cli import default_hyperparameters, main
 
 MICRO_DATA = ["--synthetic", "--synth-subjects", "4", "--synth-length", "192",
@@ -447,4 +448,93 @@ def test_genotype_with_short_pruned_list_fails_before_manifest(tmp_path, capsys)
     assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
                     "--epochs", "1", "--out", out]) == 3
     assert "cell 0: gates and pruned need one entry per input" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def _hand_genotype(tmp_path):
+    """A valid two-cell genotype file, written without running a search."""
+    nodes = [[("sep_conv_3", 0), ("max_pool_3", 1)] for _ in range(4)]
+    path = tmp_path / "genotype.json"
+    path.write_text(Genotype(cells=[CellGenotype("normal", nodes),
+                                    CellGenotype("reduction", nodes)]).to_json())
+    return path
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda cell: cell["gates"].update(pruned=["false", False]), "pruned"),
+    (lambda cell: cell["nodes"][0][0].update({"from": 1.7}), "from"),
+    (lambda cell: cell["nodes"][0][0].update({"from": True}), "from"),
+    (lambda cell: cell["gates"].update(s0="0.5"), "s0"),
+], ids=["pruned-string", "from-float", "from-bool", "gate-string"])
+def test_genotype_value_of_the_wrong_json_type_fails_before_manifest(tmp_path, capsys,
+                                                                     damage, named):
+    geno = _hand_genotype(tmp_path)
+    doc = json.loads(geno.read_text())
+    damage(doc["cells"][0])
+    geno.write_text(json.dumps(doc))
+    out = tmp_path / "train"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno,
+                    "--epochs", "1", "--out", out]) == 3
+    assert f"{named} must be a JSON" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def _insert_invalid_utf8(path, at):
+    """Put the byte 0xff, which UTF-8 never uses, before byte `at` of path."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+
+
+def _micro_csv(tmp_path):
+    rows = ["subject,session,ch0,ch1"]
+    rows += [f"S{s},{session},{np.sin(t * (s + 1) / 7):.4f},{np.cos(t / (s + 2)):.4f}"
+             for s in range(4) for session in (1, 2) for t in range(192)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _non_utf8_genotype(tmp_path):
+    geno = _hand_genotype(tmp_path)
+    _insert_invalid_utf8(geno, 1)
+    return ["train", *MICRO_DATA, *MICRO_NET, "--genotype", geno, "--epochs", "1"]
+
+
+def _non_utf8_weights(tmp_path):
+    train = tmp_path / "trained"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", _hand_genotype(tmp_path),
+                    "--epochs", "0", "--out", train]) == 0
+    _insert_invalid_utf8(train / "weights.json", 1)
+    return ["eval", *MICRO_DATA, "--weights", train / "weights.json"]
+
+
+def _non_utf8_config(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"train": {"seed": 1}}')
+    _insert_invalid_utf8(cfg, 1)
+    return ["train", *MICRO_DATA, *MICRO_NET, "--genotype", _hand_genotype(tmp_path),
+            "--config", cfg]
+
+
+def _non_utf8_csv(where):
+    def args(tmp_path):
+        data = _micro_csv(tmp_path)
+        text = data.read_text()
+        # the first read decodes the header and the first rows, a later one a late row
+        at = {"header": 3, "row": text.index("\n") + 1,
+              "late-row": text.index("\n", 20000) + 1}[where]
+        _insert_invalid_utf8(data, at)
+        return ["train", "--data", data, "--window", "64", "--stride", "32", *MICRO_NET,
+                "--genotype", _hand_genotype(tmp_path)]
+    return args
+
+
+@pytest.mark.parametrize("command", [
+    _non_utf8_genotype, _non_utf8_weights, _non_utf8_config,
+    _non_utf8_csv("header"), _non_utf8_csv("row"), _non_utf8_csv("late-row"),
+], ids=["genotype", "weights", "config", "data-header", "data-row", "data-late-row"])
+def test_non_utf8_input_file_is_data_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli([*command(tmp_path), "--out", out]) == 3
+    assert "utf-8" in capsys.readouterr().err.lower()
     assert not (out / "manifest.json").exists()

@@ -149,7 +149,7 @@ def test_first_order_alpha_update_matches_decomposed_adam():
         # oracle: gradient of the val loss at the current state, then one
         # reference adam update composed by hand
         twin = tiny_net(seed=4)
-        twin.load_state_arrays(snapshot)
+        load_arrays(twin.state_arrays(), snapshot)
         reset_tape()
         twin.zero_grad()
         for a in twin.arch_parameters() + twin.gate_parameters():
@@ -185,7 +185,7 @@ def test_second_order_alpha_gradient_matches_unrolled_oracle_sample():
         snapshot = {k: v.copy() for k, v in net.state_arrays().items()}
 
         d_arch, _ = _arch_grads_unrolled(net, train_b, val_b, xi)
-        net.load_state_arrays(snapshot)
+        load_arrays(net.state_arrays(), snapshot)
 
         def unrolled_loss():
             ws = net.weight_parameters()

@@ -248,6 +248,23 @@ def test_corrupted_checkpoint_is_structured_error(tmp_path):
         load_checkpoint(str(tmp_path / "t.json"))
 
 
+@pytest.mark.parametrize("damage, named", [
+    (lambda doc: doc.pop("extra"), "extra"),
+    (lambda doc: doc["counters"].pop("beta_t"), "counters.beta_t"),
+    (lambda doc: doc["counters"].update(epoch="one"), "counters.epoch"),
+], ids=["no-extra", "no-beta_t", "epoch-string"])
+def test_resume_names_a_missing_or_bad_checkpoint_field(tmp_path, damage, named):
+    ds = micro_dataset()
+    out = tmp_path / "run"
+    run_search(micro_config(epochs=1), ds, out_dir=str(out))
+    ckpt = out / "checkpoints" / "last.json"
+    doc = json.loads(ckpt.read_text())
+    damage(doc)
+    ckpt.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"checkpoint {named} must be"):
+        resume(str(ckpt), ds)
+
+
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
     path = tmp_path / "last.json"
     save_checkpoint(str(path), "search", {"a": 1}, {"step": 3},

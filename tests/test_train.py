@@ -90,19 +90,37 @@ def test_heavy_drop_path_degrades_training_accuracy():
 
 def test_training_ramps_drop_path_per_epoch(monkeypatch):
     net, _, ds, tcfg = _tiny_setup(epochs=4, drop_path_p=0.3)
-    per_epoch = [set()]
+    calls = []
 
     def spy(x, p, rng):
-        per_epoch[-1].add(p)
+        calls.append(p)
         return drop_path(x, p, rng)
 
     monkeypatch.setattr(T, "drop_path", spy)
-    train_final(net, ds, tcfg, epoch_callback=lambda *_: per_epoch.append(set()))
-    per_epoch.pop()
-    assert per_epoch[0] == set()  # epoch 0 draws no drop-path mask at all
-    assert all(len(ps) == 1 for ps in per_epoch[1:]), per_epoch
-    # epoch e uses drop_path_p * e / epochs: drop_path_p is never exceeded
-    assert [ps.pop() for ps in per_epoch[1:]] == pytest.approx([0.075, 0.15, 0.225])
+    train_final(net, ds, tcfg)
+    # epoch e uses drop_path_p * e / epochs: drop_path_p is never exceeded, and
+    # epoch 0 (p = 0) draws no drop-path mask at all
+    assert list(dict.fromkeys(calls)) == pytest.approx([0.075, 0.15, 0.225])
+
+
+def test_trained_network_is_the_last_sgd_step(monkeypatch):
+    """The trained weights are the last step's, even where training accuracy
+    under the drop-path ramp peaks at an earlier epoch."""
+    net, _, ds, tcfg = _tiny_setup(epochs=8, drop_path_p=0.95, lr=0.05)
+    after_step = {}
+
+    class RecordingSGD(T.SGD):
+        def step(self, lr):
+            super().step(lr)
+            after_step.update({p.name: p.data.copy() for p in self.params})
+
+    monkeypatch.setattr(T, "SGD", RecordingSGD)
+    accuracy = [row["accuracy"] for row in train_final(net, ds, tcfg)]
+    assert max(accuracy) > accuracy[-1], accuracy
+    params = net.parameters()
+    assert sorted(after_step) == sorted(p.name for p in params)
+    for p in params:
+        assert np.array_equal(p.data, after_step[p.name]), p.name
 
 
 def test_eval_mode_forward_is_deterministic_after_training():
