@@ -16,7 +16,7 @@ from .network import (DiscreteNetwork, NetworkError, Supernet, SupernetConfig,
                       gate_coefficients, instantiate_discrete)
 from .optim import (NumericsError, OptimizerConfig, TripleState, cosine_lr,
                     make_triple_state, triple_step)
-from .search import SearchRunConfig, resume, run_search
+from .search import SearchRunConfig, run_search
 from .train import TrainConfig, drop_path, train_final
 from .metrics import (MetricError, ScoreSet, compute_eer, det_curve, embed,
                       frr_at_far, metrics_report, score_protocol)

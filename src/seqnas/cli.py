@@ -24,7 +24,7 @@ from . import metrics as M
 from .cell import Genotype, GenotypeError
 from .config import Config, ConfigError, declared, spec
 from .network import NetworkError, SupernetConfig, instantiate_discrete
-from .optim import NumericsError, OptimizerConfig
+from .optim import NumericsError
 from .search import TIERS, SearchRunConfig, run_search, search_split
 from .serialize import CheckpointError, atomic_write
 from .train import TrainConfig, load_trained, save_trained, train_final
@@ -60,21 +60,6 @@ class EvalConfig(Config):
 SECTIONS = {"data": DataConfig, "search": SearchRunConfig, "train": TrainSection,
             "eval": EvalConfig}
 FILE_SECTIONS = ("data", "search", "train")
-
-
-def default_hyperparameters():
-    """Published defaults, snapshot-tested: search/train schedules and sizes."""
-    opt, train = OptimizerConfig(), TrainConfig()
-    return {
-        "w_lr0": opt.w_lr0,
-        "momentum": opt.momentum,
-        "weight_decay": opt.weight_decay,
-        "drop_path_p": train.drop_path_p,
-        "search_epochs": SearchRunConfig().epochs,
-        "train_epochs": train.epochs,
-        "train_batch": train.batch,
-        "eval_batch": EvalConfig().batch,
-    }
 
 
 def _sha256_file(path):

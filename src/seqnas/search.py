@@ -3,16 +3,15 @@
 Every epoch pairs one validation batch with one training batch per step,
 cycling the shorter loader.  Batch order is derived from (seed, epoch), so
 resuming from an epoch checkpoint reproduces the uninterrupted run
-exactly.  A checkpoint is written per epoch (last + best by mean epoch
-validation loss); the genotype is derived from the final alpha and beta.
+exactly.  One checkpoint, checkpoints/last.json, is rewritten at the end of
+every epoch; a resume from it refuses another config or other data.  The
+genotype is derived from the final alpha and beta, as in DARTS.
 """
 
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from . import data as D
 from .config import spec
@@ -68,11 +67,9 @@ def _checkpoint_arrays(net, state):
     return arrays
 
 
-def _write_checkpoint(path, config, net, state, best_val, split_hash):
-    save_checkpoint(
-        path, "search", config.to_dict(), state.counters(), _checkpoint_arrays(net, state),
-        extra={"best_val": best_val, "split_hash": split_hash},
-    )
+def _write_checkpoint(path, config, net, state, split_hash):
+    save_checkpoint(path, "search", config.to_dict(), state.counters(),
+                    _checkpoint_arrays(net, state), extra={"split_hash": split_hash})
 
 
 def _derive(net, config):
@@ -83,35 +80,33 @@ def _derive(net, config):
     })
 
 
-def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None,
-               step_callback=None):
-    """Run (or resume) a search; returns the derived genotype.
+def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None):
+    """Run a search, or resume one, and return the genotype derived from the
+    final alpha and beta.
 
     dataset: a WindowedDataset; only its session-1 windows participate.
     out_dir: when given, receives config.json, log.csv, genotype.json and
-    checkpoints/{last,best}.json.
-    resume_from: a search checkpoint of this same config to continue from.
+    checkpoints/last.json, rewritten at the end of every epoch.
+    resume_from: a search checkpoint to continue from.  Its config must parse
+    and hash like `config`, and its extra.split_hash must be the search split
+    of `dataset`; otherwise a ConfigError or CheckpointError is raised before
+    anything in out_dir is written.
     """
-    doc = None
+    train_split, val_split, split_hash = search_split(config, dataset)
+    sup_cfg = config.supernet_config(dataset.num_classes, dataset.windows.shape[1])
+    net = Supernet(sup_cfg, seed=config.seed)
+    state = make_triple_state(net, config.optimizer)
     if resume_from is not None:
         doc = load_checkpoint(resume_from, expect_kind="search")
         saved = SearchRunConfig.from_dict(doc["config"], "config")
         if saved.config_hash() != config.config_hash():
             raise CheckpointError("checkpoint was produced by a different search config")
-    return _search(config, dataset, out_dir, doc, step_callback)
-
-
-def _search(config, dataset, out_dir, doc, step_callback):
-    """run_search from the decoded checkpoint doc, or from scratch when doc is None."""
-    train_split, val_split, split_hash = search_split(config, dataset)
-    sup_cfg = config.supernet_config(dataset.num_classes, dataset.windows.shape[1])
-    net = Supernet(sup_cfg, seed=config.seed)
-    state = make_triple_state(net, config.optimizer)
-    best_val = float("inf")
-    if doc is not None:
+        saved_hash = doc["extra"].get("split_hash")
+        if saved_hash != split_hash:
+            raise CheckpointError(f"checkpoint extra.split_hash must be {split_hash!r}, the "
+                                  f"search split of this dataset; got {saved_hash!r}")
         load_arrays(_checkpoint_arrays(net, state), doc["arrays"])
         state.load_counters(doc["counters"])
-        best_val = float(doc["extra"].get("best_val", float("inf")))
 
     ckpt_dir = None
     if out_dir:
@@ -134,7 +129,6 @@ def _search(config, dataset, out_dir, doc, step_callback):
         train_batches = list(D.batches(train_split, config.train_batch, train_order))
         val_batches = list(D.batches(val_split, config.val_batch, val_order))
 
-        val_losses = []
         for s in range(steps_per_epoch):
             tb = train_batches[s % len(train_batches)]
             vb = val_batches[s % len(val_batches)]
@@ -147,29 +141,14 @@ def _search(config, dataset, out_dir, doc, step_callback):
                         json.dump({"epoch": epoch, "step": step_id,
                                    "reason": "non-finite loss or gradient"}, fh)
                 raise
-            val_losses.append(val_loss)
             log.append(step_id, epoch, train_loss, val_loss, lr)
-            if step_callback is not None:
-                step_callback(net, state, train_loss, val_loss)
 
         state.epoch = epoch + 1
-        epoch_val = float(np.mean(val_losses))
-        improved = epoch_val < best_val
-        best_val = min(best_val, epoch_val)  # before last.json, so a resume sees it
         if ckpt_dir:
-            for name in ("last.json", "best.json") if improved else ("last.json",):
-                _write_checkpoint(os.path.join(ckpt_dir, name),
-                                  config, net, state, best_val, split_hash)
+            _write_checkpoint(os.path.join(ckpt_dir, "last.json"), config, net, state, split_hash)
 
     genotype = _derive(net, config)
     if out_dir:
         with atomic_write(os.path.join(out_dir, "genotype.json")) as fh:
             fh.write(genotype.to_json())
     return genotype
-
-
-def resume(checkpoint_path, dataset, out_dir=None, step_callback=None):
-    """Continue a search from a checkpoint; same genotype as the full run."""
-    doc = load_checkpoint(checkpoint_path, expect_kind="search")
-    return _search(SearchRunConfig.from_dict(doc["config"], "config"), dataset, out_dir,
-                   doc, step_callback)

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from seqnas import functional as F
+from seqnas import search
 from seqnas.autograd import backward, no_grad, reset_tape, using_dtype
 from seqnas.cell import NUM_EDGES
-from seqnas.cli import default_hyperparameters, main
+from seqnas.cli import EvalConfig, main
 from seqnas.data import make_windows, split_for_search, synth_generate
 from seqnas.metrics import ScoreSet, compute_eer, frr_at_far
 from seqnas.network import Supernet, SupernetConfig, gate_coefficients
@@ -25,6 +26,7 @@ from seqnas.optim import (OptimizerConfig, _arch_grads_unrolled,
 from seqnas.ops import mixed_forward
 from seqnas.search import SearchRunConfig, run_search
 from seqnas.serialize import load_arrays
+from seqnas.train import TrainConfig
 from helpers import eer_oracle, frr_at_far_oracle
 
 rng = np.random.default_rng(2024)
@@ -136,7 +138,7 @@ def test_criterion_1_gradient_integrity():
 # 2. mixed-operation semantics
 
 
-def test_criterion_2_mixed_op_semantics():
+def test_criterion_2_mixed_op_semantics(monkeypatch):
     from seqnas.autograd import Tensor
     from seqnas.ops import MixedOp
 
@@ -151,18 +153,22 @@ def test_criterion_2_mixed_op_semantics():
     records = synth_generate(4, sessions=2, length=320, seed=2)
     ds = make_windows(records, 64, 32)
     worst = []
+    step = search.triple_step
 
-    def watch(net, state, tl, vl):
+    def watch(net, *args):
+        losses = step(net, *args)
         for a in net.arch_parameters():
             z = a.data - a.data.max(axis=1, keepdims=True)
             e = np.exp(z)
             rows = (e / e.sum(axis=1, keepdims=True)).sum(axis=1)
             worst.append(float(np.abs(rows - 1.0).max()))
+        return losses
 
+    monkeypatch.setattr(search, "triple_step", watch)
     cfg = SearchRunConfig(epochs=2, train_batch=8, val_batch=8, seed=0,
                           tier="relax", num_cells=2,
                           layout=("normal", "reduction"), init_channels=4)
-    run_search(cfg, ds, step_callback=watch)
+    run_search(cfg, ds)
     assert worst and max(worst) < 1e-6
     report(2, f"uniform-alpha mean within 1e-6; softmax rows sum to 1 "
               f"(max |dev| {max(worst):.2e}) across a 2-epoch search")
@@ -476,18 +482,11 @@ def test_criterion_9_byte_determinism(tmp_path):
 
 
 def test_criterion_10_hyperparameter_fidelity():
-    snapshot = default_hyperparameters()
-    assert snapshot == {
-        "w_lr0": 0.025,
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "drop_path_p": 0.3,
-        "search_epochs": 50,
-        "train_epochs": 300,
-        "train_batch": 32,
-        "eval_batch": 256,
-    }
-    opt = OptimizerConfig()
+    opt, train = OptimizerConfig(), TrainConfig()
+    assert (opt.w_lr0, opt.momentum, opt.weight_decay) == (0.025, 0.9, 5e-4)
+    assert train.drop_path_p == 0.3
+    assert (SearchRunConfig().epochs, train.epochs) == (50, 300)
+    assert (train.batch, EvalConfig().batch) == (32, 256)
     from seqnas.optim import cosine_lr
 
     assert cosine_lr(0, 50, opt.w_lr0) == 0.025

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqnas.cell import CellGenotype, Genotype
-from seqnas.cli import default_hyperparameters, main
+from seqnas.cli import main
 
 MICRO_DATA = ["--synthetic", "--synth-subjects", "4", "--synth-length", "192",
               "--window", "64", "--stride", "32"]
@@ -25,19 +25,6 @@ def test_unknown_tier_is_usage_error(tmp_path):
     code = run_cli(["search", "--synthetic", "--tier", "nonsense",
                     "--out", tmp_path / "x"])
     assert code == 2
-
-
-def test_default_hyperparameters_snapshot():
-    assert default_hyperparameters() == {
-        "w_lr0": 0.025,
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "drop_path_p": 0.3,
-        "search_epochs": 50,
-        "train_epochs": 300,
-        "train_batch": 32,
-        "eval_batch": 256,
-    }
 
 
 def test_search_writes_manifest_first_and_is_deterministic(tmp_path):

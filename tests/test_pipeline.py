@@ -73,13 +73,13 @@ PINNED = {
     "relax/genotype.json":
         "4b01dc7b343d692d8f4f1670ce560805f008e14585835e535c2306f9cb5426b5",
     "relax/checkpoints/last.json":
-        "43c816d4b1588a42c50d77c1600d775adcb6f6d7fd4ad0edfece72ca40d1d45f",
+        "31f7b63be70600441e7b25284410534493bd0d4571216113424ca427de07890c",
     "relax/log.csv":
         "59534072e3b121724d48a1e31c53a191502d89433a0d809da2a589a410bc9147",
     "darts/genotype.json":
         "b446122cc76579e5c5348157754832ca475821f1c1ae200efe64aa5bbcd65fbb",
     "darts/checkpoints/last.json":
-        "dd87852b5e49c0cb8c82611f19ebf0ca6714d71b0178c031c2fd2f16fa8e37b4",
+        "6dd94c88ca2632cca99b5fc137bdd34df2b45268657d305bf8ea3e35df01d9b0",
     "darts/log.csv":
         "ad6b1758737c19804ac9ef5e41e4509fec1907ebbbba4ca3d6d806dc6cd9da34",
     "train_relax/log.csv":

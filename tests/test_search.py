@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
+import seqnas.search as S
 from seqnas.data import make_windows, synth_generate
 from seqnas.optim import NumericsError, OptimizerConfig
-from seqnas.search import TIERS, SearchRunConfig, resume, run_search, search_split
+from seqnas.search import TIERS, SearchRunConfig, run_search, search_split
 from seqnas.serialize import CheckpointError, encode_array, load_checkpoint, save_checkpoint
 
 
@@ -22,6 +23,43 @@ def micro_config(epochs=2, tier="relax", seed=0, **kw):
     base.update(kw)
     return SearchRunConfig(epochs=epochs, train_batch=8, val_batch=8,
                            seed=seed, tier=tier, **base)
+
+
+def around_each_step(monkeypatch, before=None, after=None):
+    """Run before(net, state) ahead of every triple step of a search and
+    after(net, state) once it returns."""
+    step = S.triple_step
+
+    def wrapped(net, train_batch, val_batch, state, lr):
+        if before is not None:
+            before(net, state)
+        losses = step(net, train_batch, val_batch, state, lr)
+        if after is not None:
+            after(net, state)
+        return losses
+
+    monkeypatch.setattr(S, "triple_step", wrapped)
+
+
+class Stop(Exception):
+    pass
+
+
+def interrupt(monkeypatch, config, dataset, out_dir, epoch):
+    """Run a search into out_dir and stop it on entry to the second step of
+    `epoch`, so log.csv holds one row past the epoch checkpoint."""
+    entered = []
+
+    def stop(net, state):
+        if state.epoch == epoch:
+            entered.append(state.step)
+            if len(entered) == 2:
+                raise Stop()
+
+    with monkeypatch.context() as m:
+        around_each_step(m, before=stop)
+        with pytest.raises(Stop):
+            run_search(config, dataset, out_dir=out_dir)
 
 
 def test_zero_lr_search_returns_init_genotype():
@@ -71,8 +109,7 @@ def test_run_dir_layout_and_log(tmp_path):
     run_search(cfg, ds, out_dir=out)
     assert os.path.exists(os.path.join(out, "config.json"))
     assert os.path.exists(os.path.join(out, "genotype.json"))
-    assert os.path.exists(os.path.join(out, "checkpoints", "last.json"))
-    assert os.path.exists(os.path.join(out, "checkpoints", "best.json"))
+    assert os.listdir(os.path.join(out, "checkpoints")) == ["last.json"]
     with open(os.path.join(out, "log.csv")) as fh:
         rows = list(csv.DictReader(fh))
     steps = [int(r["step"]) for r in rows]
@@ -83,7 +120,7 @@ def test_run_dir_layout_and_log(tmp_path):
     assert epochs == {0, 1}
 
 
-def test_resume_matches_uninterrupted_run(tmp_path):
+def test_resume_matches_uninterrupted_run(tmp_path, monkeypatch):
     ds = micro_dataset(seed=3)
 
     full_cfg = micro_config(epochs=4, seed=7)
@@ -92,23 +129,12 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     half_cfg = micro_config(epochs=4, seed=7)
     part_dir = str(tmp_path / "part")
     # run only epochs 0-1 by checkpointing: emulate an interrupt by running
-    # a 4-epoch config but stopping through a callback exception
-    class Stop(Exception):
-        pass
-
-    calls = {"n": 0}
-
-    def stopper(net, state, tl, vl):
-        calls["n"] += 1
-        if state.epoch >= 2:
-            raise Stop()
-
-    with pytest.raises(Stop):
-        run_search(half_cfg, ds, out_dir=part_dir, step_callback=stopper)
+    # a 4-epoch config but stopping it early in epoch 2
+    interrupt(monkeypatch, half_cfg, ds, part_dir, epoch=2)
 
     ckpt = os.path.join(part_dir, "checkpoints", "last.json")
     assert load_checkpoint(ckpt)["counters"]["epoch"] == 2
-    g_resumed = resume(ckpt, ds, out_dir=str(tmp_path / "resumed"))
+    g_resumed = run_search(half_cfg, ds, out_dir=str(tmp_path / "resumed"), resume_from=ckpt)
     assert g_resumed.to_json() == g_full.to_json()
     full_bytes = (tmp_path / "full" / "genotype.json").read_bytes()
     resumed_bytes = (tmp_path / "resumed" / "genotype.json").read_bytes()
@@ -121,7 +147,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert int(last["step"]) == load_checkpoint(ckpt)["counters"]["step"]
     with open(os.path.join(part_dir, "log.csv"), "a") as fh:
         fh.write("1,0,0.")  # a row cut short by a kill mid-write
-    resume(ckpt, ds, out_dir=part_dir)
+    run_search(half_cfg, ds, out_dir=part_dir, resume_from=ckpt)
     with open(os.path.join(part_dir, "log.csv")) as fh:
         steps = [int(r["step"]) for r in csv.DictReader(fh)]
     assert steps == list(range(len(steps)))
@@ -130,33 +156,47 @@ def test_resume_matches_uninterrupted_run(tmp_path):
             (tmp_path / "part" / name).read_bytes(), name
 
 
-def test_resume_into_own_directory_keeps_checkpoint_bytes(tmp_path):
-    """last.json carries the best validation loss of the epochs it covers, so a
-    resume picks the same best epoch as the uninterrupted run."""
-    import hashlib
-
+def test_resume_into_own_directory_keeps_checkpoint_bytes(tmp_path, monkeypatch):
+    """A search interrupted in epoch 3 and resumed into its own directory ends
+    with the same last.json bytes as the uninterrupted run."""
     ds = micro_dataset(seed=3)
-    run_search(micro_config(epochs=4, seed=7), ds, out_dir=str(tmp_path / "full"))
-
-    class Stop(Exception):
-        pass
-
-    def stopper(net, state, tl, vl):
-        if state.epoch >= 3:
-            raise Stop()
+    cfg = micro_config(epochs=4, seed=7)
+    run_search(cfg, ds, out_dir=str(tmp_path / "full"))
 
     part = tmp_path / "part"
-    with pytest.raises(Stop):
-        run_search(micro_config(epochs=4, seed=7), ds, out_dir=str(part),
-                   step_callback=stopper)
-    resume(str(part / "checkpoints" / "last.json"), ds, out_dir=str(part))
-    for name in ("last.json", "best.json"):
-        digests = [hashlib.sha256((d / "checkpoints" / name).read_bytes()).hexdigest()
-                   for d in (tmp_path / "full", part)]
-        assert digests[0] == digests[1], name
+    interrupt(monkeypatch, cfg, ds, str(part), epoch=3)
+    run_search(cfg, ds, out_dir=str(part), resume_from=str(part / "checkpoints" / "last.json"))
+    assert (tmp_path / "full" / "checkpoints" / "last.json").read_bytes() == \
+        (part / "checkpoints" / "last.json").read_bytes()
 
 
-def test_resume_from_final_checkpoint_returns_immediately(tmp_path):
+@pytest.mark.parametrize("damage", [
+    None,
+    lambda extra: extra.pop("split_hash"),
+    lambda extra: extra.update(split_hash=12345),
+], ids=["other-data", "no-split_hash", "split_hash-int"])
+def test_resume_refuses_other_data_before_writing(tmp_path, monkeypatch, damage):
+    """A resume whose extra.split_hash is missing, not a string, or not the
+    search split of the dataset it is given raises and leaves the run as it was."""
+    ds = micro_dataset(seed=3)
+    cfg = micro_config(epochs=4, seed=7)
+    part = tmp_path / "part"
+    interrupt(monkeypatch, cfg, ds, str(part), epoch=2)
+    ckpt = part / "checkpoints" / "last.json"
+    if damage is None:
+        ds = micro_dataset(seed=4)
+    else:
+        doc = json.loads(ckpt.read_text())
+        damage(doc["extra"])
+        ckpt.write_text(json.dumps(doc))
+    before = {p: p.read_bytes() for p in part.rglob("*") if p.is_file()}
+
+    with pytest.raises(CheckpointError, match="extra.split_hash"):
+        run_search(cfg, ds, out_dir=str(part), resume_from=str(ckpt))
+    assert {p: p.read_bytes() for p in part.rglob("*") if p.is_file()} == before
+
+
+def test_resume_from_final_checkpoint_returns_immediately(tmp_path, monkeypatch):
     ds = micro_dataset()
     cfg = micro_config(epochs=2)
     out = str(tmp_path / "done")
@@ -164,17 +204,16 @@ def test_resume_from_final_checkpoint_returns_immediately(tmp_path):
     ckpt = os.path.join(out, "checkpoints", "last.json")
     calls = {"n": 0}
 
-    def counter(net, state, tl, vl):
+    def counter(net, state):
         calls["n"] += 1
 
-    g2 = resume(ckpt, ds, step_callback=counter)
+    around_each_step(monkeypatch, after=counter)
+    g2 = run_search(cfg, ds, resume_from=ckpt)
     assert calls["n"] == 0
     assert g2.to_json() == g.to_json()
 
 
 def test_resume_decodes_the_checkpoint_once(tmp_path, monkeypatch):
-    import seqnas.search as S
-
     ds = micro_dataset()
     out = tmp_path / "x"
     run_search(micro_config(epochs=2), ds, out_dir=str(out))
@@ -182,15 +221,13 @@ def test_resume_decodes_the_checkpoint_once(tmp_path, monkeypatch):
     load = S.load_checkpoint
     monkeypatch.setattr(S, "load_checkpoint",
                         lambda *a, **k: calls.append(a) or load(*a, **k))
-    resume(str(out / "checkpoints" / "last.json"), ds)
+    run_search(micro_config(epochs=2), ds, resume_from=str(out / "checkpoints" / "last.json"))
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("damage", ["missing", "one_element"])
 def test_resume_checks_every_array_before_loading_any(tmp_path, monkeypatch, damage):
     """A damaged optimizer buffer fails the resume with every live array intact."""
-    import seqnas.search as S
-
     ds = micro_dataset()
     out = tmp_path / "x"
     run_search(micro_config(epochs=1), ds, out_dir=str(out))
@@ -214,7 +251,7 @@ def test_resume_checks_every_array_before_loading_any(tmp_path, monkeypatch, dam
 
     monkeypatch.setattr(S, "make_triple_state", capture)
     with pytest.raises(CheckpointError, match="mismatch"):
-        resume(str(ckpt), ds)
+        run_search(micro_config(epochs=1), ds, resume_from=str(ckpt))
     assert live
     for k, v in live.items():
         assert np.array_equal(v, before[k]), k
@@ -262,7 +299,7 @@ def test_resume_names_a_missing_or_bad_checkpoint_field(tmp_path, damage, named)
     damage(doc)
     ckpt.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match=f"checkpoint {named} must be"):
-        resume(str(ckpt), ds)
+        run_search(micro_config(epochs=1), ds, resume_from=str(ckpt))
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
@@ -303,35 +340,37 @@ def test_checkpoint_config_is_checked_on_resume(tmp_path):
     doc["config"]["optimizer"]["x1"] = 0.01
     ckpt.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="unknown key 'config.optimizer.x1'"):
-        resume(str(ckpt), ds)
+        run_search(micro_config(epochs=1), ds, resume_from=str(ckpt))
 
 
-def test_nan_loss_aborts_with_checkpoint(tmp_path):
+def test_nan_loss_aborts_with_checkpoint(tmp_path, monkeypatch):
     ds = micro_dataset()
     cfg = micro_config(epochs=3)
     out = str(tmp_path / "nan")
 
-    def poison(net, state, tl, vl):
+    def poison(net, state):
         if state.step == 3:
             net.stem_w.data[...] = np.nan
 
+    around_each_step(monkeypatch, after=poison)
     with pytest.raises(NumericsError):
-        run_search(cfg, ds, out_dir=out, step_callback=poison)
+        run_search(cfg, ds, out_dir=out)
     assert os.path.exists(os.path.join(out, "abort.json"))
     # the last epoch checkpoint is the last good state
     assert os.path.exists(os.path.join(out, "checkpoints", "last.json"))
 
 
-def test_softmax_rows_sum_to_one_throughout_search():
+def test_softmax_rows_sum_to_one_throughout_search(monkeypatch):
     ds = micro_dataset()
     cfg = micro_config(epochs=2)
     sums = []
 
-    def watch(net, state, tl, vl):
+    def watch(net, state):
         for a in net.arch_parameters():
             z = a.data - a.data.max(axis=1, keepdims=True)
             e = np.exp(z)
             sums.append(float(np.abs((e / e.sum(axis=1, keepdims=True)).sum(axis=1) - 1).max()))
 
-    run_search(cfg, ds, step_callback=watch)
+    around_each_step(monkeypatch, after=watch)
+    run_search(cfg, ds)
     assert sums and max(sums) < 1e-6
