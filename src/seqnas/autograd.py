@@ -6,8 +6,12 @@ topological, a backward pass is a single reverse sweep that visits each
 recorded node exactly once.  A node's pullback returns one gradient (or
 None) per input and never writes a .grad: the sweep alone adds them, in
 input order, into every input that requires a gradient, with sum
-semantics.  The first gradient a tensor receives is copied, so a pullback
-may hand the same array to several inputs.
+semantics.  A tensor's first gradient takes ownership of the pullback's
+array when that array is fresh: not a view, of the tensor's dtype,
+C-contiguous, not the incoming gradient itself and not already handed to
+another input of the node.  Any other first gradient is copied, so a
+pullback may hand the same array to several inputs, or views, but must
+never return an array that something else still holds.
 """
 
 import contextlib
@@ -50,7 +54,7 @@ def using_dtype(dtype):
 class Tensor:
     """Dense array plus an optional gradient buffer of identical shape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "tape_id")
+    __slots__ = ("data", "requires_grad", "grad", "name", "tape_id", "relu_data")
 
     def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
@@ -65,6 +69,7 @@ class Tensor:
         self.grad = None
         self.name = name
         self.tape_id = None
+        self.relu_data = None  # functional.relu's read-only output, shared per input
 
     @property
     def shape(self):
@@ -132,7 +137,8 @@ class Tape:
 
         Each pullback returns one gradient or None per input, in input order;
         this sweep is the only place they are added into .grad, and only into
-        inputs that require a gradient.  The first accumulation copies."""
+        inputs that require a gradient.  A first gradient is taken over when
+        fresh (see the module docstring) and copied otherwise."""
         if loss.size != 1:
             raise TapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         if self.consumed:
@@ -151,8 +157,16 @@ class Tape:
             g = node.out.grad
             if g is not None:
                 node.out.grad = g if node.out is loss else None
+                handed = []
                 for t, gt in zip(node.inputs, node.backward_fn(g)):
-                    if t.requires_grad:
+                    if not t.requires_grad:
+                        continue
+                    if (t.grad is None and gt is not g and gt.base is None
+                            and gt.dtype == t.data.dtype and gt.flags.c_contiguous
+                            and not any(gt is h for h in handed)):
+                        t.grad = gt
+                        handed.append(gt)
+                    else:
                         t.accumulate_grad(gt)
 
 

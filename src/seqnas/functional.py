@@ -7,7 +7,14 @@ input, in input order: that input's gradient, or None.  It writes no
 .grad; Tape.backward adds the entries into the inputs that require one.
 A multi-input pullback skips the work for an input that requires no
 gradient; a single-input primitive records a node only when its input
-requires one, so its pullback never checks.  Convolutions and pools use
+requires one, so its pullback never checks.
+
+The tape holds each activation once.  A pullback keeps only its inputs'
+data, its output's data (or views of them) and per-channel vectors; the
+one exception is channel_norm's normalised input xhat.  Convolutions and
+pools rebuild padded or unfolded inputs from x.data when they pull back.
+Activations are never written in place, so every relu recorded on one
+input shares one read-only output buffer.  Convolutions and pools use
 "same-length" semantics: symmetric zero padding of (k-1)/2 * dilation per
 side, so stride-1 ops preserve temporal length and stride-2 ops emit
 ceil(T/stride) samples.
@@ -15,7 +22,7 @@ ceil(T/stride) samples.
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, default_dtype, record
+from .autograd import ShapeError, Tensor, default_dtype, record, tape
 
 
 def _shape_check(cond, op, msg):
@@ -78,8 +85,17 @@ def sum_all(x):
 
 
 def relu(x):
+    """max(x, 0) as a read-only array.  Every relu of one activation of the
+    current tape shares one buffer, kept in x.relu_data and freed with x; each
+    call still records its own node, so gradients add up as if unshared."""
     x = _tensor(x)
-    out = Tensor(np.maximum(x.data, 0))
+    y = x.relu_data
+    if y is None:
+        y = np.maximum(x.data, 0)
+        y.flags.writeable = False
+        if x.tape_id == tape().id:  # never a parameter: the optimizers update those in place
+            x.relu_data = y
+    out = Tensor(y)
 
     return record("relu", (x,), out, lambda g: (g * (x.data > 0),))
 
@@ -176,33 +192,29 @@ def _conv_geometry(op, T, k, stride, dilation):
     return pad, t_out
 
 
-def _taps(xp, k, stride, dilation, t_out):
-    """k strided views of the padded array, one per kernel tap."""
+def _taps(x, pad, k, stride, dilation, t_out, fill=0.0):
+    """k strided views, one per kernel tap, of the (B,C,T) array x padded with
+    fill by pad samples on each side of time: a new array unless pad is 0."""
+    if pad:  # faster than np.pad
+        b, c, t = x.shape
+        if fill == 0.0:
+            xp = np.zeros((b, c, t + 2 * pad), dtype=x.dtype)
+        else:
+            xp = np.full((b, c, t + 2 * pad), fill, dtype=x.dtype)
+        xp[:, :, pad : pad + t] = x
+        x = xp
     hi = (t_out - 1) * stride + 1
-    return [xp[:, :, j * dilation : j * dilation + hi : stride] for j in range(k)]
+    return [x[:, :, j * dilation : j * dilation + hi : stride] for j in range(k)]
 
 
 def _untap(x, pad, tap_grads, stride, dilation, t_out):
-    """Adjoint of _taps then unpadding: sum the per-tap gradients, in order,
-    into a padded buffer and return its interior, the gradient of x."""
+    """Adjoint of _taps: sum the per-tap gradients, in order, into a padded
+    buffer and return its interior, the gradient of x."""
     dxp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad,), dtype=x.data.dtype)
     hi = (t_out - 1) * stride + 1
     for j, gj in enumerate(tap_grads):
         dxp[:, :, j * dilation : j * dilation + hi : stride] += gj
     return dxp[:, :, pad : pad + x.shape[2]] if pad else dxp
-
-
-def _pad_time(x, pad, fill=0.0):
-    """Zero/constant padding on the time axis (faster than np.pad)."""
-    if pad == 0:
-        return x
-    b, c, t = x.shape
-    if fill == 0.0:
-        xp = np.zeros((b, c, t + 2 * pad), dtype=x.dtype)
-    else:
-        xp = np.full((b, c, t + 2 * pad), fill, dtype=x.dtype)
-    xp[:, :, pad : pad + t] = x
-    return xp
 
 
 def conv1d(x, w, stride=1, dilation=1):
@@ -234,18 +246,19 @@ def conv1d(x, w, stride=1, dilation=1):
 
         return record("conv1d", (x, w), out, backward_fn)
 
-    xp = _pad_time(x.data, pad)
-    cols = np.empty((B, C, k, t_out), dtype=x.data.dtype)
-    for j, tap in enumerate(_taps(xp, k, stride, dilation, t_out)):
-        cols[:, :, j, :] = tap
-    cols = cols.reshape(B, C * k, t_out)
+    def unfold():  # (B, C*k, t_out) columns of the padded input
+        cols = np.empty((B, C, k, t_out), dtype=x.data.dtype)
+        for j, tap in enumerate(_taps(x.data, pad, k, stride, dilation, t_out)):
+            cols[:, :, j, :] = tap
+        return cols.reshape(B, C * k, t_out)
+
     w2 = w.data.reshape(c_out, C * k)
-    out = Tensor(np.matmul(w2, cols))
+    out = Tensor(np.matmul(w2, unfold()))
 
     def backward_fn(g):
         gw = dx = None
         if w.requires_grad:
-            gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, C, k)
+            gw = np.matmul(g, unfold().transpose(0, 2, 1)).sum(axis=0).reshape(c_out, C, k)
         if x.requires_grad:
             dcols = np.matmul(w2.T, g).reshape(B, C, k, t_out)
             dx = _untap(x, pad, (dcols[:, :, j, :] for j in range(k)), stride, dilation, t_out)
@@ -264,8 +277,7 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
     _shape_check(cw == C, "depthwise_conv1d", f"weight has {cw} channels, input {C}")
     pad, t_out = _conv_geometry("depthwise_conv1d", T, k, stride, dilation)
 
-    xp = _pad_time(x.data, pad)
-    taps = _taps(xp, k, stride, dilation, t_out)
+    taps = _taps(x.data, pad, k, stride, dilation, t_out)
     acc = w.data[None, :, 0, None] * taps[0]
     prod = np.empty_like(acc)
     for j in range(1, k):
@@ -275,6 +287,7 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
     def backward_fn(g):
         gw = dx = None
         if w.requires_grad:
+            taps = _taps(x.data, pad, k, stride, dilation, t_out)
             gw = np.stack([np.einsum("bct,bct->c", g, tap) for tap in taps], axis=1)
         if x.requires_grad:
             prod = np.empty_like(g)
@@ -295,16 +308,16 @@ def max_pool1d(x, kernel=3, stride=1):
     _shape_check(x.ndim == 3, "max_pool1d", f"input must be (B,C,T), got {x.shape}")
     T = x.shape[2]
     pad, t_out = _conv_geometry("max_pool1d", T, kernel, stride, 1)
-    xp = _pad_time(x.data, pad, fill=-np.inf)
-    taps = _taps(xp, kernel, stride, 1, t_out)
+    taps = _taps(x.data, pad, kernel, stride, 1, t_out, fill=-np.inf)
     m = taps[0]
     for tap in taps[1:]:
         m = np.maximum(m, tap)
     out = Tensor(m)
 
     def backward_fn(g):
+        m = out.data
         hits, claimed = [], np.zeros_like(m, dtype=bool)
-        for tap in taps:
+        for tap in _taps(x.data, pad, kernel, stride, 1, t_out, fill=-np.inf):
             hits.append((tap == m) & ~claimed)  # ties route to the earliest tap
             claimed |= hits[-1]
         return (_untap(x, pad, (g * hit for hit in hits), stride, 1, t_out),)
@@ -318,16 +331,17 @@ def avg_pool1d(x, kernel=3, stride=1):
     _shape_check(x.ndim == 3, "avg_pool1d", f"input must be (B,C,T), got {x.shape}")
     T = x.shape[2]
     pad, t_out = _conv_geometry("avg_pool1d", T, kernel, stride, 1)
-    xp = _pad_time(x.data, pad)
-    valid = np.zeros(T + 2 * pad, dtype=x.data.dtype)
-    valid[pad : pad + T] = 1
-    hi = (t_out - 1) * stride + 1
-    counts = sum(valid[j : j + hi : stride] for j in range(kernel))
-    taps = _taps(xp, kernel, stride, 1, t_out)
-    out = Tensor(sum(taps) / counts)
+
+    def counts():  # in-bounds taps per output sample
+        valid = np.zeros(T + 2 * pad, dtype=x.data.dtype)
+        valid[pad : pad + T] = 1
+        hi = (t_out - 1) * stride + 1
+        return sum(valid[j : j + hi : stride] for j in range(kernel))
+
+    out = Tensor(sum(_taps(x.data, pad, kernel, stride, 1, t_out)) / counts())
 
     return record("avg_pool1d", (x,), out,
-                  lambda g: (_untap(x, pad, [g / counts] * kernel, stride, 1, t_out),))
+                  lambda g: (_untap(x, pad, [g / counts()] * kernel, stride, 1, t_out),))
 
 
 def shift_time(x):

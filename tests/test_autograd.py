@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from seqnas import functional as F
 from seqnas.autograd import (ShapeError, TapeError, Tensor, backward,
-                             parameter, reset_tape, using_dtype)
+                             parameter, record, reset_tape, using_dtype)
+from seqnas.optim import SGD
 from helpers import (avg_pool_oracle, conv1d_oracle, finite_difference_check,
                      max_pool_oracle)
 
@@ -362,3 +363,197 @@ def test_frozen_input_gets_no_gradient_and_leaves_the_others_bitwise(case):
         for i, (g, ref) in enumerate(zip(grads, full)):
             if i != frozen:
                 assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), (frozen, i)
+
+
+# ---------------------------------------------------------------------------
+# handing fresh pullback arrays to .grad
+
+
+def _own_distinct_grads(*tensors):
+    """Each tensor's .grad owns its buffer, and no two tensors share one."""
+    grads = [t.grad for t in tensors]
+    assert all(g.flags.owndata for g in grads)
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_add_of_one_tensor_with_itself():
+    x = parameter(rng.standard_normal((2, 3, 4)))
+    w = rng.standard_normal((2, 3, 4))
+    backward(F.sum_all(F.mul(F.add(x, x), Tensor(w))))
+    assert x.grad.tobytes() == (w + w).tobytes()
+    assert x.grad.flags.owndata
+
+
+def test_concat_of_one_tensor_with_itself():
+    x, z = parameter(rng.standard_normal((2, 3, 4))), parameter(rng.standard_normal((2, 1, 4)))
+    w = rng.standard_normal((2, 7, 4))
+    backward(F.sum_all(F.mul(F.concat([x, z, x]), Tensor(w))))
+    assert x.grad.tobytes() == (w[:, :3] + w[:, 4:]).tobytes()
+    assert z.grad.tobytes() == np.ascontiguousarray(w[:, 3:4]).tobytes()
+    _own_distinct_grads(x, z)
+
+
+def test_loss_keeps_its_own_grad():
+    a, b = parameter(np.array(2.0)), parameter(np.array(3.0))
+    loss = F.add(a, b)
+    backward(loss)
+    assert [float(t.grad) for t in (loss, a, b)] == [1.0, 1.0, 1.0]
+    _own_distinct_grads(loss, a, b)
+
+
+FRESH = np.arange(6.0).reshape(2, 3)
+HANDOVER_CASES = {  # pullback result for inputs (x, y), and whether x takes it over
+    "fresh": (lambda g: (FRESH.copy(), None), True),
+    "view": (lambda g: (FRESH.copy()[:, :], None), False),
+    "other_dtype": (lambda g: (FRESH.astype(np.float32), None), False),
+    "not_contiguous": (lambda g: (np.asfortranarray(FRESH), None), False),
+    "incoming": (lambda g: (g, None), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDOVER_CASES))
+def test_first_gradient_takes_over_only_a_fresh_array(case):
+    pullback, taken = HANDOVER_CASES[case]
+    x, y = parameter(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+    seen = []
+
+    def probe(g):
+        seen.append(pullback(g))
+        return seen[-1]
+
+    out = record("probe", (x, y), Tensor(np.zeros((2, 3))), probe)
+    backward(F.sum_all(out))
+    assert (x.grad is seen[0][0]) == taken
+    assert x.grad.dtype == x.dtype and np.array_equal(x.grad, seen[0][0])
+
+
+def test_array_handed_to_two_inputs_is_taken_over_once():
+    x, y = parameter(np.zeros((2, 3))), parameter(np.zeros((2, 3)))
+    arr = FRESH.copy()
+    out = record("probe", (x, y), Tensor(np.zeros((2, 3))), lambda g: (arr, arr))
+    backward(F.sum_all(out))
+    assert x.grad is arr and y.grad is not arr
+    assert y.grad.tobytes() == FRESH.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pullbacks that rebuild padded inputs, and shared relu buffers, are bitwise
+# the previous formulas
+
+
+def _padded_taps(x, pad, k, stride, dilation, t_out, fill):
+    xp = np.full(x.shape[:2] + (x.shape[2] + 2 * pad,), fill, dtype=x.dtype)
+    xp[:, :, pad : pad + x.shape[2]] = x
+    hi = (t_out - 1) * stride + 1
+    return [xp[:, :, j * dilation : j * dilation + hi : stride] for j in range(k)]
+
+
+def depthwise_conv1d_reference(x, w, stride=1, dilation=1):
+    """depthwise_conv1d as it was when its pullback kept the padded taps."""
+    k, T = w.shape[1], x.shape[2]
+    pad, t_out = (k - 1) // 2 * dilation, -(-T // stride)
+    taps = _padded_taps(x.data, pad, k, stride, dilation, t_out, 0.0)
+    acc = w.data[None, :, 0, None] * taps[0]
+    prod = np.empty_like(acc)
+    for j in range(1, k):
+        acc += np.multiply(w.data[None, :, j, None], taps[j], out=prod)
+
+    def backward_fn(g):
+        gw = np.stack([np.einsum("bct,bct->c", g, tap) for tap in taps], axis=1)
+        prod = np.empty_like(g)
+        dx = F._untap(x, pad, (np.multiply(w.data[None, :, j, None], g, out=prod)
+                               for j in range(k)), stride, dilation, t_out)
+        return dx, gw
+
+    return record("depthwise_conv1d", (x, w), Tensor(acc), backward_fn)
+
+
+def max_pool1d_reference(x, kernel=3, stride=1):
+    """max_pool1d as it was when its pullback kept the padded taps."""
+    T = x.shape[2]
+    pad, t_out = (kernel - 1) // 2, -(-T // stride)
+    taps = _padded_taps(x.data, pad, kernel, stride, 1, t_out, -np.inf)
+    m = taps[0]
+    for tap in taps[1:]:
+        m = np.maximum(m, tap)
+
+    def backward_fn(g):
+        hits, claimed = [], np.zeros_like(m, dtype=bool)
+        for tap in taps:
+            hits.append((tap == m) & ~claimed)
+            claimed |= hits[-1]
+        return (F._untap(x, pad, (g * hit for hit in hits), stride, 1, t_out),)
+
+    return record("max_pool1d", (x,), Tensor(m), backward_fn)
+
+
+def relu_reference(x):
+    """relu as it was, with a fresh output array per call."""
+    return record("relu", (x,), Tensor(np.maximum(x.data, 0)),
+                    lambda g: (g * (x.data > 0),))
+
+
+def _outputs_and_grads(build, arrays, dtype):
+    """Bytes of build's output and of every input's gradient after a
+    fixed-weight sum of that output."""
+    reset_tape()
+    inputs = [parameter(a.astype(dtype)) for a in arrays]
+    out = build(*inputs)
+    weights = Tensor(np.random.default_rng(5).standard_normal(out.shape).astype(dtype))
+    backward(F.sum_all(F.mul(out, weights)))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+
+DTYPES = [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_conv1d_is_bitwise_the_previous_formula(stride, dilation, k, dtype):
+    arrays = [rng.standard_normal((3, 4, 13)), rng.standard_normal((4, k))]
+    new, old = (_outputs_and_grads(lambda x, w: conv(x, w, stride, dilation), arrays, dtype)
+                for conv in (F.depthwise_conv1d, depthwise_conv1d_reference))
+    assert new == old
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("stride", [1, 2])
+def test_max_pool1d_with_ties_is_bitwise_the_previous_formula(stride, dtype):
+    x = np.random.default_rng(9).integers(-2, 3, size=(3, 4, 13)).astype(float)
+    new, old = (_outputs_and_grads(lambda t: pool(t, 3, stride), [x], dtype)
+                for pool in (F.max_pool1d, max_pool1d_reference))
+    assert new == old
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_shared_relu_is_bitwise_two_relus_and_a_skip(dtype):
+    def graph(relu):
+        def build(p, w):
+            x = F.mul(p, w)  # an activation recorded on the tape
+            mix = Tensor(np.array([0.5, -1.5, 2.0], dtype=x.dtype))
+            y = F.weighted_sum([relu(x), x, relu(x)], mix)
+            return F.mul(relu(y), x)
+        return build
+
+    arrays = [rng.standard_normal((3, 4, 13)), rng.standard_normal((3, 4, 13))]
+    assert (_outputs_and_grads(graph(F.relu), arrays, dtype)
+            == _outputs_and_grads(graph(relu_reference), arrays, dtype))
+
+
+def test_relus_of_one_activation_share_one_read_only_buffer():
+    x = F.scale(parameter(rng.standard_normal((2, 3, 4))), 1.0)
+    a, b = F.relu(x), F.relu(x)
+    assert a.data is b.data and not a.data.flags.writeable
+    assert F.relu(Tensor(x.data)).data is not a.data  # not an activation of the tape
+
+
+def test_relu_of_a_parameter_sees_its_in_place_update():
+    p = parameter(np.array([-1.0, 0.5, 2.0]))
+    backward(F.sum_all(F.relu(p)))
+    SGD([p], momentum=0.0).step(1.0)  # p.data -= 1.0 * [0, 1, 1], in place
+    assert p.relu_data is None
+    assert F.relu(p).data.tolist() == [0.0, 0.0, 1.0]

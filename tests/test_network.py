@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqnas import functional as F
-from seqnas.autograd import backward, reset_tape, using_dtype
+from seqnas.autograd import Tensor, backward, reset_tape, tape, using_dtype
 from seqnas.cell import NUM_EDGES, CellGenotype, Genotype
 from seqnas.network import (DiscreteNetwork, NetworkError, Supernet,
                             SupernetConfig, _check_temporal, gate_coefficients,
@@ -312,6 +312,62 @@ def _state_sha256(net):
         h.update(f"{name}:{arr.dtype.name}:{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+def _closure_arrays(fn, name=""):
+    """(name, ndarray) for every array a pullback's closure reaches, through
+    lists, tuples, tensors and nested functions."""
+    cells = zip(fn.__code__.co_freevars, fn.__closure__ or ())
+    for var, cell in cells:
+        yield from _reachable_arrays(cell.cell_contents, var)
+
+
+def _reachable_arrays(value, name):
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, Tensor):
+        yield name, value.data
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _reachable_arrays(v, name)
+    elif callable(value) and hasattr(value, "__code__"):
+        yield from _closure_arrays(value)
+
+
+def _is_or_views(a, allowed):
+    while a is not None:
+        if any(a is d for d in allowed):
+            return True
+        a = a.base
+    return False
+
+
+def test_tape_keeps_each_activation_once():
+    """After a grad-mode supernet forward, a pullback keeps nothing bigger than
+    a per-channel vector beyond its node's input and output data (channel_norm's
+    normalised input xhat excepted), and relus of one input share one buffer."""
+    net = Supernet(small_config(), seed=2)
+    net.forward(Tensor(rng.standard_normal((3, 2, 24)).astype(np.float32)))
+    nodes = tape().nodes
+    kept = 0
+    for node in nodes:
+        tensors = (*node.inputs, node.out)
+        allowed = [t.data for t in tensors]
+        channels = max((t.shape[1] for t in tensors if t.ndim >= 2), default=0)
+        for var, a in _closure_arrays(node.backward_fn):
+            if a.size <= channels or (node.op, var) == ("channel_norm", "xhat"):
+                continue
+            kept += 1
+            assert _is_or_views(a, allowed), (node.op, var, a.shape)
+    assert kept > 0  # some pullback does keep views of its inputs
+
+    relus = {}
+    for node in nodes:
+        if node.op == "relu":
+            relus.setdefault(id(node.inputs[0]), []).append(node.out.data)
+    assert max(len(outs) for outs in relus.values()) >= 4
+    for outs in relus.values():
+        assert all(o is outs[0] for o in outs) and not outs[0].flags.writeable
 
 
 def test_initial_weights_pinned():
