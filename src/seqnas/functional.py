@@ -11,13 +11,16 @@ requires one, so its pullback never checks.
 
 The tape holds each activation once.  A pullback keeps only its inputs'
 data, its output's data (or views of them) and per-channel vectors; the
-one exception is channel_norm's normalised input xhat.  Convolutions and
-pools rebuild padded or unfolded inputs from x.data when they pull back.
-Activations are never written in place, so every relu recorded on one
-input shares one read-only output buffer.  Convolutions and pools use
-"same-length" semantics: symmetric zero padding of (k-1)/2 * dilation per
-side, so stride-1 ops preserve temporal length and stride-2 ops emit
-ceil(T/stride) samples.
+one exception is the normalised input xhat of channel_norm and conv1d_norm.
+conv1d_norm records a conv feeding a norm as one node and normalises the
+conv output in place, since neither pullback reads it, so xhat is kept
+instead of beside it.  Convolutions and pools rebuild padded or unfolded
+inputs from x.data when they pull back, and _untap adds their gradients
+straight into a new unpadded array.  Activations are never written in
+place, so every relu recorded on one input shares one read-only output
+buffer.  Convolutions and pools use "same-length" semantics: symmetric
+zero padding of (k-1)/2 * dilation per side, so stride-1 ops preserve
+temporal length and stride-2 ops emit ceil(T/stride) samples.
 """
 
 import numpy as np
@@ -208,29 +211,31 @@ def _taps(x, pad, k, stride, dilation, t_out, fill=0.0):
 
 
 def _untap(x, pad, tap_grads, stride, dilation, t_out):
-    """Adjoint of _taps: sum the per-tap gradients, in order, into a padded
-    buffer and return its interior, the gradient of x."""
-    dxp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad,), dtype=x.data.dtype)
-    hi = (t_out - 1) * stride + 1
+    """Adjoint of _taps: add each tap's gradient, in tap order, into the samples
+    of x it read, skipping those it read from the padding; a new array."""
+    T = x.shape[2]
+    dx = np.zeros(x.shape, dtype=x.data.dtype)
     for j, gj in enumerate(tap_grads):
-        dxp[:, :, j * dilation : j * dilation + hi : stride] += gj
-    return dxp[:, :, pad : pad + x.shape[2]] if pad else dxp
+        o = j * dilation - pad  # the sample of x that output 0 of tap j reads
+        lo = -(-max(0, -o) // stride)  # first output whose sample is in x
+        hi = min(t_out, (T - 1 - o) // stride + 1)
+        if lo < hi:
+            dx[:, :, o + lo * stride : o + (hi - 1) * stride + 1 : stride] += gj[:, :, lo:hi]
+    return dx
 
 
-def conv1d(x, w, stride=1, dilation=1):
-    """Dense 1-D convolution; x (B,C,T), w (C_out,C_in,k), no bias."""
-    x, w = _tensor(x), _tensor(w)
-    _shape_check(x.ndim == 3, "conv1d", f"input must be (B,C,T), got {x.shape}")
-    _shape_check(w.ndim == 3, "conv1d", f"weight must be (C_out,C_in,k), got {w.shape}")
+def _conv1d(op, x, w, stride, dilation):
+    """conv1d's forward: (output array, pullback of g to (dx, gw))."""
+    _shape_check(x.ndim == 3, op, f"input must be (B,C,T), got {x.shape}")
+    _shape_check(w.ndim == 3, op, f"weight must be (C_out,C_in,k), got {w.shape}")
     B, C, T = x.shape
     c_out, c_in, k = w.shape
-    _shape_check(c_in == C, "conv1d", f"weight expects {c_in} channels, input has {C}")
-    pad, t_out = _conv_geometry("conv1d", T, k, stride, dilation)
+    _shape_check(c_in == C, op, f"weight expects {c_in} channels, input has {C}")
+    pad, t_out = _conv_geometry(op, T, k, stride, dilation)
 
     if k == 1:  # pointwise: plain channel mixing, no padding or unfolding
         xs = x.data[:, :, ::stride]
         w2 = w.data[:, :, 0]
-        out = Tensor(np.matmul(w2, xs))
 
         def backward_fn(g):
             gw = dx = None
@@ -244,7 +249,7 @@ def conv1d(x, w, stride=1, dilation=1):
                     dx[:, :, ::stride] = np.matmul(w2.T, g)
             return dx, gw
 
-        return record("conv1d", (x, w), out, backward_fn)
+        return np.matmul(w2, xs), backward_fn
 
     def unfold():  # (B, C*k, t_out) columns of the padded input
         cols = np.empty((B, C, k, t_out), dtype=x.data.dtype)
@@ -253,7 +258,6 @@ def conv1d(x, w, stride=1, dilation=1):
         return cols.reshape(B, C * k, t_out)
 
     w2 = w.data.reshape(c_out, C * k)
-    out = Tensor(np.matmul(w2, unfold()))
 
     def backward_fn(g):
         gw = dx = None
@@ -264,7 +268,14 @@ def conv1d(x, w, stride=1, dilation=1):
             dx = _untap(x, pad, (dcols[:, :, j, :] for j in range(k)), stride, dilation, t_out)
         return dx, gw
 
-    return record("conv1d", (x, w), out, backward_fn)
+    return np.matmul(w2, unfold()), backward_fn
+
+
+def conv1d(x, w, stride=1, dilation=1):
+    """Dense 1-D convolution; x (B,C,T), w (C_out,C_in,k), no bias."""
+    x, w = _tensor(x), _tensor(w)
+    y, backward_fn = _conv1d("conv1d", x, w, stride, dilation)
+    return record("conv1d", (x, w), Tensor(y), backward_fn)
 
 
 def depthwise_conv1d(x, w, stride=1, dilation=1):
@@ -296,11 +307,6 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
         return dx, gw
 
     return record("depthwise_conv1d", (x, w), out, backward_fn)
-
-
-def separable_conv1d(x, w_dw, w_pw, stride=1, dilation=1):
-    """Depthwise-separable conv: per-channel conv then 1x1 projection."""
-    return conv1d(depthwise_conv1d(x, w_dw, stride, dilation), w_pw)
 
 
 def max_pool1d(x, kernel=3, stride=1):
@@ -368,25 +374,20 @@ NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
 
 
-def channel_norm(x, gamma, beta, running=None, training=True):
-    """Per-channel affine normalization over the current batch.
-
-    Mean/variance are taken over (batch, time) per channel and the backward
-    pass differentiates through them.  running is None or a (mean, var)
-    pair of arrays: in training it is updated in place; outside training
-    it is used as constants instead of the batch (final-network evaluation).
-    """
-    x, gamma, beta = _tensor(x), _tensor(gamma), _tensor(beta)
-    _shape_check(x.ndim == 3, "channel_norm", f"input must be (B,C,T), got {x.shape}")
+def _channel_norm(op, x, need_dx, gamma, beta, running, training, out=None):
+    """channel_norm's forward on the array x: (output array, pullback of g to
+    (dx, dgamma, dbeta)), with dx None unless need_dx.  The normalised input
+    xhat is written into out, which may be x itself, or into a new array."""
+    _shape_check(x.ndim == 3, op, f"input must be (B,C,T), got {x.shape}")
     B, C, T = x.shape
-    _shape_check(gamma.shape == (C,), "channel_norm", f"gamma {gamma.shape} vs C={C}")
-    _shape_check(beta.shape == (C,), "channel_norm", f"beta {beta.shape} vs C={C}")
+    _shape_check(gamma.shape == (C,), op, f"gamma {gamma.shape} vs C={C}")
+    _shape_check(beta.shape == (C,), op, f"beta {beta.shape} vs C={C}")
 
     n_stat = B * T
     batch_stats = training or running is None
     if batch_stats:
-        mean = x.data.mean(axis=(0, 2))
-        xc = x.data - mean[None, :, None]
+        mean = x.mean(axis=(0, 2))
+        xc = np.subtract(x, mean[None, :, None], out=out)
         var = np.einsum("bct,bct->c", xc, xc) / n_stat
         if running is not None:
             for buf, stat in zip(running, (mean, var)):
@@ -394,18 +395,17 @@ def channel_norm(x, gamma, beta, running=None, training=True):
                 buf += NORM_MOMENTUM * stat
     else:
         mean, var = running
-        xc = x.data - mean[None, :, None]
+        xc = np.subtract(x, mean[None, :, None], out=out)
 
-    inv_std = (1.0 / np.sqrt(var + NORM_EPS)).astype(x.data.dtype)
+    inv_std = (1.0 / np.sqrt(var + NORM_EPS)).astype(x.dtype)
     xhat = xc  # xc is not read again: normalise it in place
     xhat *= inv_std[None, :, None]
-    out = Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None])
 
     def backward_fn(g):
         dx = None
         dgamma = np.einsum("bct,bct->c", g, xhat) if gamma.requires_grad else None
         dbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
-        if x.requires_grad:
+        if need_dx:
             gs = g * gamma.data[None, :, None]
             if batch_stats:
                 mean_gs = gs.mean(axis=(0, 2))
@@ -418,7 +418,37 @@ def channel_norm(x, gamma, beta, running=None, training=True):
                 dx = np.multiply(gs, inv_std[None, :, None], out=gs)
         return dx, dgamma, dbeta
 
-    return record("channel_norm", (x, gamma, beta), out, backward_fn)
+    return gamma.data[None, :, None] * xhat + beta.data[None, :, None], backward_fn
+
+
+def channel_norm(x, gamma, beta, running=None, training=True):
+    """Per-channel affine normalization over the current batch.
+
+    Mean/variance are taken over (batch, time) per channel and the backward
+    pass differentiates through them.  running is None or a (mean, var)
+    pair of arrays: in training it is updated in place; outside training
+    it is used as constants instead of the batch (final-network evaluation).
+    """
+    x, gamma, beta = _tensor(x), _tensor(gamma), _tensor(beta)
+    y, backward_fn = _channel_norm("channel_norm", x.data, x.requires_grad,
+                                   gamma, beta, running, training)
+    return record("channel_norm", (x, gamma, beta), Tensor(y), backward_fn)
+
+
+def conv1d_norm(x, w, gamma, beta, running=None, training=True, stride=1):
+    """channel_norm(conv1d(x, w, stride), gamma, beta, running, training) as one
+    node.  The conv output, which neither pullback reads, is normalised in
+    place, so the tape keeps xhat where the pair kept it and xhat."""
+    x, w, gamma, beta = _tensor(x), _tensor(w), _tensor(gamma), _tensor(beta)
+    y, conv_backward = _conv1d("conv1d_norm", x, w, stride, 1)
+    out, norm_backward = _channel_norm("conv1d_norm", y, x.requires_grad or w.requires_grad,
+                                       gamma, beta, running, training, out=y)
+
+    def backward_fn(g):
+        dy, dgamma, dbeta = norm_backward(g)
+        return (*conv_backward(dy), dgamma, dbeta)  # dy is None only if x and w need none
+
+    return record("conv1d_norm", (x, w, gamma, beta), Tensor(out), backward_fn)
 
 
 def global_avg_pool(x):

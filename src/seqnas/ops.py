@@ -47,9 +47,12 @@ class ChannelNorm(Module):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x):
+    def forward(self, x, w=None, stride=1):
+        """Normalise x, or conv1d(x, w, stride) as one fused node when w is given."""
         running = (self.running_mean, self.running_var) if self.track_running else None
-        return F.channel_norm(x, self.gamma, self.beta, running, self.training)
+        if w is None:
+            return F.channel_norm(x, self.gamma, self.beta, running, self.training)
+        return F.conv1d_norm(x, w, self.gamma, self.beta, running, self.training, stride)
 
 
 class ReLUConvNorm(Module):
@@ -63,7 +66,7 @@ class ReLUConvNorm(Module):
         self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        return self.norm.forward(F.conv1d(F.relu(x), self.w, stride=self.stride))
+        return self.norm.forward(F.relu(x), self.w, self.stride)
 
 
 class Zero(Module):
@@ -125,10 +128,8 @@ class SepConv(Module):
         self.norm2 = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm2"))
 
     def forward(self, x):
-        x = F.separable_conv1d(F.relu(x), self.dw1, self.pw1, stride=self.stride)
-        x = self.norm1.forward(x)
-        x = F.separable_conv1d(F.relu(x), self.dw2, self.pw2, stride=1)
-        return self.norm2.forward(x)
+        x = self.norm1.forward(F.depthwise_conv1d(F.relu(x), self.dw1, self.stride), self.pw1)
+        return self.norm2.forward(F.depthwise_conv1d(F.relu(x), self.dw2), self.pw2)
 
 
 class DilConv(Module):
@@ -144,8 +145,8 @@ class DilConv(Module):
         self.norm = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        x = F.separable_conv1d(F.relu(x), self.dw, self.pw, stride=self.stride, dilation=2)
-        return self.norm.forward(x)
+        x = F.depthwise_conv1d(F.relu(x), self.dw, self.stride, dilation=2)
+        return self.norm.forward(x, self.pw)
 
 
 class MaxPool(Module):

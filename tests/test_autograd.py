@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqnas import functional as F
-from seqnas.autograd import (ShapeError, TapeError, Tensor, backward,
-                             parameter, record, reset_tape, using_dtype)
+from seqnas.autograd import (ShapeError, TapeError, Tensor, backward, no_grad,
+                             parameter, record, reset_tape, tape, using_dtype)
 from seqnas.optim import SGD
 from helpers import (avg_pool_oracle, conv1d_oracle, finite_difference_check,
                      max_pool_oracle)
@@ -542,6 +542,100 @@ def test_shared_relu_is_bitwise_two_relus_and_a_skip(dtype):
     arrays = [rng.standard_normal((3, 4, 13)), rng.standard_normal((3, 4, 13))]
     assert (_outputs_and_grads(graph(F.relu), arrays, dtype)
             == _outputs_and_grads(graph(relu_reference), arrays, dtype))
+
+
+def _untap_padded_reference(x, pad, tap_grads, stride, dilation, t_out):
+    """_untap as it was: sum into a padded buffer and return its interior."""
+    dxp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad,), dtype=x.data.dtype)
+    hi = (t_out - 1) * stride + 1
+    for j, gj in enumerate(tap_grads):
+        dxp[:, :, j * dilation : j * dilation + hi : stride] += gj
+    return dxp[:, :, pad : pad + x.shape[2]] if pad else dxp
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("T", [1, 2, 13])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_untap_is_bitwise_the_padded_buffer_and_not_a_view(stride, dilation, k, T, dtype):
+    x = Tensor(np.zeros((2, 3, T), dtype=dtype))
+    pad, t_out = (k - 1) // 2 * dilation, -(-T // stride)
+    grads = [rng.standard_normal((2, 3, t_out)).astype(dtype) for _ in range(k)]
+    dx = F._untap(x, pad, grads, stride, dilation, t_out)
+    assert dx.base is None and dx.dtype == dtype  # taken over by .grad, not copied
+    assert dx.tobytes() == _untap_padded_reference(
+        x, pad, grads, stride, dilation, t_out).tobytes()
+
+
+def _conv_then_norm(x, w, gamma, beta, running, training, stride):
+    return F.channel_norm(F.conv1d(x, w, stride=stride), gamma, beta, running, training)
+
+
+CONV_NORM_SHAPES = {  # x, w, stride
+    "k1": ((3, 4, 13), (5, 4, 1), 1),
+    "k1_s2": ((3, 4, 13), (5, 4, 1), 2),
+    "k3_stem": ((3, 2, 13), (5, 2, 3), 1),
+}
+NORM_MODES = {  # running stats kept, training
+    "batch": (False, True),
+    "batch_running": (True, True),
+    "eval": (True, False),
+}
+
+
+def _conv_norm_bytes(fn, arrays, stride, mode, frozen, dtype):
+    """Bytes of fn's output, of each input's gradient and of the running
+    buffers after a fixed-weight sum of the output."""
+    reset_tape()
+    inputs = [Tensor(a.astype(dtype), requires_grad=i not in frozen)
+              for i, a in enumerate(arrays)]
+    keep, training = NORM_MODES[mode]
+    c = arrays[1].shape[0]
+    running = (np.linspace(-0.3, 0.2, c).astype(dtype),
+               np.linspace(0.5, 2.0, c).astype(dtype)) if keep else None
+    out = fn(*inputs, running, training, stride)
+    weights = Tensor(np.random.default_rng(5).standard_normal(out.shape).astype(dtype))
+    backward(F.sum_all(F.mul(out, weights)))
+    return ([out.data.tobytes()] + [t.grad.tobytes() if t.grad is not None else None
+                                    for t in inputs]
+            + [b.tobytes() for b in running or ()])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("mode", sorted(NORM_MODES))
+@pytest.mark.parametrize("case", sorted(CONV_NORM_SHAPES))
+def test_conv1d_norm_is_bitwise_conv1d_then_channel_norm(case, mode, dtype):
+    x_shape, w_shape, stride = CONV_NORM_SHAPES[case]
+    c = w_shape[0]
+    arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+              1.0 + 0.1 * rng.standard_normal(c), 0.1 * rng.standard_normal(c)]
+    for frozen in ((), (0,), (1,), (2, 3)):  # nothing, x, w, then gamma and beta
+        fused, pair = (_conv_norm_bytes(fn, arrays, stride, mode, frozen, dtype)
+                       for fn in (F.conv1d_norm, _conv_then_norm))
+        assert fused == pair, frozen
+        assert all((g is None) == (i in frozen) for i, g in enumerate(fused[1:5]))
+
+
+def test_conv1d_norm_records_one_node_and_none_under_no_grad():
+    x, w = Tensor(rng.standard_normal((2, 3, 8))), parameter(rng.standard_normal((4, 3, 1)))
+    gamma, beta = parameter(np.ones(4)), parameter(np.zeros(4))
+    reset_tape()
+    with no_grad():
+        out = F.conv1d_norm(x, w, gamma, beta)
+    assert not tape().nodes and not out.requires_grad
+    F.conv1d_norm(x, w, gamma, beta)
+    assert [n.op for n in tape().nodes] == ["conv1d_norm"]
+
+
+def test_conv1d_norm_shape_errors_name_the_op():
+    x, ones = Tensor(np.zeros((2, 3, 8))), Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match="conv1d_norm: weight expects 5 channels"):
+        F.conv1d_norm(x, Tensor(np.zeros((4, 5, 1))), ones, ones)
+    with pytest.raises(ShapeError, match="conv1d_norm: gamma"):
+        F.conv1d_norm(x, Tensor(np.zeros((4, 3, 1))), Tensor(np.ones(3)), ones)
+    with pytest.raises(ShapeError, match="conv1d_norm: beta"):
+        F.conv1d_norm(x, Tensor(np.zeros((4, 3, 1))), ones, Tensor(np.ones(3)))
 
 
 def test_relus_of_one_activation_share_one_read_only_buffer():

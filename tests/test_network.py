@@ -344,8 +344,9 @@ def _is_or_views(a, allowed):
 
 def test_tape_keeps_each_activation_once():
     """After a grad-mode supernet forward, a pullback keeps nothing bigger than
-    a per-channel vector beyond its node's input and output data (channel_norm's
-    normalised input xhat excepted), and relus of one input share one buffer."""
+    a per-channel vector beyond its node's input and output data (the normalised
+    input xhat of channel_norm and conv1d_norm excepted), no conv1d output feeds
+    a channel_norm, and relus of one input share one buffer."""
     net = Supernet(small_config(), seed=2)
     net.forward(Tensor(rng.standard_normal((3, 2, 24)).astype(np.float32)))
     nodes = tape().nodes
@@ -355,11 +356,17 @@ def test_tape_keeps_each_activation_once():
         allowed = [t.data for t in tensors]
         channels = max((t.shape[1] for t in tensors if t.ndim >= 2), default=0)
         for var, a in _closure_arrays(node.backward_fn):
-            if a.size <= channels or (node.op, var) == ("channel_norm", "xhat"):
+            if a.size <= channels or (
+                    var == "xhat" and node.op in ("channel_norm", "conv1d_norm")):
                 continue
             kept += 1
             assert _is_or_views(a, allowed), (node.op, var, a.shape)
     assert kept > 0  # some pullback does keep views of its inputs
+
+    # a conv feeding a norm is one conv1d_norm node, which keeps no conv output
+    conv_outs = {id(n.out) for n in nodes if n.op == "conv1d"}
+    assert not any(id(n.inputs[0]) in conv_outs for n in nodes if n.op == "channel_norm")
+    assert any(n.op == "conv1d_norm" for n in nodes)
 
     relus = {}
     for node in nodes:
