@@ -169,7 +169,8 @@ def _search_flags(parser):
 
 
 def _build_dataset(args, cfg, seed, test_session=False):
-    """(dataset, description, input hash); test_session requires session-2 windows."""
+    """(dataset, description, input hash); test_session requires session-2 windows.
+    The description lists each segment too short for a window, with its length."""
     if args.data:
         schema = D.CsvSchema(
             subject_col=args.subject_col or "subject",
@@ -196,6 +197,7 @@ def _build_dataset(args, cfg, seed, test_session=False):
     dataset = D.make_windows(records, cfg.window, cfg.stride)
     if test_session and not (dataset.sessions == 2).any():
         raise D.DataError("dataset has no session-2 windows to test on")
+    desc["dropped_segments"] = [list(seg) for seg in dataset.dropped]
     return dataset, desc, input_hash
 
 

@@ -13,7 +13,7 @@ and one column per channel; rows are samples in time order, grouped by
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,6 +161,8 @@ class WindowedDataset:
     labels: np.ndarray  # subject index per window
     sessions: np.ndarray  # session id per window
     subject_ids: list  # index -> subject id
+    # (subject, session, length) of each segment too short for a window, not hashed
+    dropped: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.windows)
@@ -189,13 +191,15 @@ def make_windows(records, window_len, stride):
     """Slice records into fixed windows; z-score with session-1 statistics.
 
     Records shorter than the window (segments cut by long NaN gaps) are
-    skipped; a (subject, session) left with no window is a DataError."""
+    skipped and listed in the dataset's dropped; a (subject, session) left
+    with no window is a DataError."""
     if not records:
         raise DataError("no records to window")
     kept = [r for r in records if r.length >= window_len]
+    dropped = [(r.subject_id, r.session_id, r.length) for r in records
+               if r.length < window_len]
     windowed = {(r.subject_id, r.session_id) for r in kept}
-    too_short = [(r.subject_id, r.session_id, r.length) for r in records
-                 if (r.subject_id, r.session_id) not in windowed]
+    too_short = [seg for seg in dropped if seg[:2] not in windowed]
     if too_short:
         raise DataError(
             f"window length {window_len} exceeds record length for: {too_short[:5]}"
@@ -224,7 +228,7 @@ def make_windows(records, window_len, stride):
     std = np.where(std < 1e-12, 1.0, std)
     windows = (windows - mean[None, :, None]) / std[None, :, None]
     return WindowedDataset(windows=windows, labels=labels, sessions=sessions,
-                           subject_ids=subjects)
+                           subject_ids=subjects, dropped=dropped)
 
 
 def split_for_search(dataset, ratio, seed):

@@ -11,14 +11,16 @@ requires one, so its pullback never checks.
 
 The tape holds each activation once.  A pullback keeps only its inputs'
 data, its output's data (or views of them) and per-channel vectors; the
-one exception is the normalised input xhat of channel_norm and conv1d_norm.
-conv1d_norm records a conv feeding a norm as one node and normalises the
-conv output in place, since neither pullback reads it, so xhat is kept
-instead of beside it.  Convolutions and pools rebuild padded or unfolded
-inputs from x.data when they pull back, and _untap adds their gradients
-straight into a new unpadded array.  Activations are never written in
-place, so every relu recorded on one input shares one read-only output
-buffer.  Convolutions and pools use "same-length" semantics: symmetric
+one exception is the normalised input xhat of the norm nodes.  A conv
+feeding a norm is one node that normalises the conv output in place, since
+neither pullback reads it, so xhat is kept instead of beside it:
+conv1d_norm, and relu_conv_norm for relu -> (depthwise ->) conv -> norm,
+which rebuilds relu(x) and the depthwise output from x.data only when a
+weight gradient reads them.  Convolutions and pools rebuild padded or
+unfolded inputs from x.data when they pull back, and _untap adds their
+gradients straight into a new unpadded array.  Activations are never
+written in place, so every relu recorded on one input shares one read-only
+output buffer.  Convolutions and pools use "same-length" semantics: symmetric
 zero padding of (k-1)/2 * dilation per side, so stride-1 ops preserve
 temporal length and stride-2 ops emit ceil(T/stride) samples.
 """
@@ -195,16 +197,21 @@ def _conv_geometry(op, T, k, stride, dilation):
     return pad, t_out
 
 
-def _taps(x, pad, k, stride, dilation, t_out, fill=0.0):
-    """k strided views, one per kernel tap, of the (B,C,T) array x padded with
-    fill by pad samples on each side of time: a new array unless pad is 0."""
-    if pad:  # faster than np.pad
+def _taps(x, pad, k, stride, dilation, t_out, fill=0.0, relu=False):
+    """k strided views, one per kernel tap, of the (B,C,T) array x, or of
+    max(x, 0) if relu, padded with fill by pad samples on each side of time: a
+    new array unless pad is 0 and relu is off.  The relu is written straight
+    into the padded array."""
+    if pad or relu:  # faster than np.pad
         b, c, t = x.shape
         if fill == 0.0:
             xp = np.zeros((b, c, t + 2 * pad), dtype=x.dtype)
         else:
             xp = np.full((b, c, t + 2 * pad), fill, dtype=x.dtype)
-        xp[:, :, pad : pad + t] = x
+        if relu:
+            np.maximum(x, 0, out=xp[:, :, pad : pad + t])
+        else:
+            xp[:, :, pad : pad + t] = x
         x = xp
     hi = (t_out - 1) * stride + 1
     return [x[:, :, j * dilation : j * dilation + hi : stride] for j in range(k)]
@@ -212,9 +219,10 @@ def _taps(x, pad, k, stride, dilation, t_out, fill=0.0):
 
 def _untap(x, pad, tap_grads, stride, dilation, t_out):
     """Adjoint of _taps: add each tap's gradient, in tap order, into the samples
-    of x it read, skipping those it read from the padding; a new array."""
+    of x (a tensor or array, read for its shape and dtype) it read, skipping
+    those it read from the padding; a new array."""
     T = x.shape[2]
-    dx = np.zeros(x.shape, dtype=x.data.dtype)
+    dx = np.zeros(x.shape, dtype=x.dtype)
     for j, gj in enumerate(tap_grads):
         o = j * dilation - pad  # the sample of x that output 0 of tap j reads
         lo = -(-max(0, -o) // stride)  # first output whose sample is in x
@@ -225,7 +233,9 @@ def _untap(x, pad, tap_grads, stride, dilation, t_out):
 
 
 def _conv1d(op, x, w, stride, dilation):
-    """conv1d's forward: (output array, pullback of g to (dx, gw))."""
+    """conv1d's forward on the array x: (output array, pullback of (g, x, need_dx)
+    to (dx, gw)).  The pullback reads its x, the input again, for gw, and for
+    dx at most its shape and dtype, so a stand-in serves when w needs none."""
     _shape_check(x.ndim == 3, op, f"input must be (B,C,T), got {x.shape}")
     _shape_check(w.ndim == 3, op, f"weight must be (C_out,C_in,k), got {w.shape}")
     B, C, T = x.shape
@@ -234,71 +244,78 @@ def _conv1d(op, x, w, stride, dilation):
     pad, t_out = _conv_geometry(op, T, k, stride, dilation)
 
     if k == 1:  # pointwise: plain channel mixing, no padding or unfolding
-        xs = x.data[:, :, ::stride]
         w2 = w.data[:, :, 0]
 
-        def backward_fn(g):
+        def backward_fn(g, x, need_dx):
             gw = dx = None
             if w.requires_grad:
-                gw = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)[:, :, None]
-            if x.requires_grad:
+                gw = np.matmul(g, x[:, :, ::stride].transpose(0, 2, 1)).sum(axis=0)[:, :, None]
+            if need_dx:
                 if stride == 1:
                     dx = np.matmul(w2.T, g)
                 else:
-                    dx = np.zeros_like(x.data)
+                    dx = np.zeros_like(x)
                     dx[:, :, ::stride] = np.matmul(w2.T, g)
             return dx, gw
 
-        return np.matmul(w2, xs), backward_fn
+        return np.matmul(w2, x[:, :, ::stride]), backward_fn
 
-    def unfold():  # (B, C*k, t_out) columns of the padded input
-        cols = np.empty((B, C, k, t_out), dtype=x.data.dtype)
-        for j, tap in enumerate(_taps(x.data, pad, k, stride, dilation, t_out)):
+    def unfold(x):  # (B, C*k, t_out) columns of the padded input
+        cols = np.empty((B, C, k, t_out), dtype=x.dtype)
+        for j, tap in enumerate(_taps(x, pad, k, stride, dilation, t_out)):
             cols[:, :, j, :] = tap
         return cols.reshape(B, C * k, t_out)
 
     w2 = w.data.reshape(c_out, C * k)
 
-    def backward_fn(g):
+    def backward_fn(g, x, need_dx):
         gw = dx = None
         if w.requires_grad:
-            gw = np.matmul(g, unfold().transpose(0, 2, 1)).sum(axis=0).reshape(c_out, C, k)
-        if x.requires_grad:
+            gw = np.matmul(g, unfold(x).transpose(0, 2, 1)).sum(axis=0).reshape(c_out, C, k)
+        if need_dx:
             dcols = np.matmul(w2.T, g).reshape(B, C, k, t_out)
             dx = _untap(x, pad, (dcols[:, :, j, :] for j in range(k)), stride, dilation, t_out)
         return dx, gw
 
-    return np.matmul(w2, unfold()), backward_fn
+    return np.matmul(w2, unfold(x)), backward_fn
 
 
 def conv1d(x, w, stride=1, dilation=1):
     """Dense 1-D convolution; x (B,C,T), w (C_out,C_in,k), no bias."""
     x, w = _tensor(x), _tensor(w)
-    y, backward_fn = _conv1d("conv1d", x, w, stride, dilation)
-    return record("conv1d", (x, w), Tensor(y), backward_fn)
+    y, backward_fn = _conv1d("conv1d", x.data, w, stride, dilation)
+    return record("conv1d", (x, w), Tensor(y),
+                  lambda g: backward_fn(g, x.data, x.requires_grad))
 
 
-def depthwise_conv1d(x, w, stride=1, dilation=1):
-    """Per-channel 1-D convolution; x (B,C,T), w (C,k)."""
-    x, w = _tensor(x), _tensor(w)
-    _shape_check(x.ndim == 3, "depthwise_conv1d", f"input must be (B,C,T), got {x.shape}")
-    _shape_check(w.ndim == 2, "depthwise_conv1d", f"weight must be (C,k), got {w.shape}")
+def _depthwise(taps, w):
+    """The depthwise forward over the k tap views of the padded input and the
+    (C,k) weight array w: sum_j w[:, j] * taps[j], in tap order."""
+    acc = w[None, :, 0, None] * taps[0]
+    prod = np.empty_like(acc)
+    for j in range(1, len(taps)):
+        acc += np.multiply(w[None, :, j, None], taps[j], out=prod)
+    return acc
+
+
+def _depthwise_conv1d(op, x, w, stride, dilation, relu=False):
+    """depthwise_conv1d's forward on x, or on relu(x) if relu: (output array,
+    taps, pullback).  taps() rebuilds the tap views of the padded input from
+    x.data.  The pullback maps (g, taps()) to (dx, gw), with taps() read only
+    for gw; dx, None unless x requires one, is taken before any relu mask."""
+    _shape_check(x.ndim == 3, op, f"input must be (B,C,T), got {x.shape}")
+    _shape_check(w.ndim == 2, op, f"weight must be (C,k), got {w.shape}")
     B, C, T = x.shape
     cw, k = w.shape
-    _shape_check(cw == C, "depthwise_conv1d", f"weight has {cw} channels, input {C}")
-    pad, t_out = _conv_geometry("depthwise_conv1d", T, k, stride, dilation)
+    _shape_check(cw == C, op, f"weight has {cw} channels, input {C}")
+    pad, t_out = _conv_geometry(op, T, k, stride, dilation)
 
-    taps = _taps(x.data, pad, k, stride, dilation, t_out)
-    acc = w.data[None, :, 0, None] * taps[0]
-    prod = np.empty_like(acc)
-    for j in range(1, k):
-        acc += np.multiply(w.data[None, :, j, None], taps[j], out=prod)
-    out = Tensor(acc)
+    def taps():
+        return _taps(x.data, pad, k, stride, dilation, t_out, relu=relu)
 
-    def backward_fn(g):
+    def backward_fn(g, taps):
         gw = dx = None
         if w.requires_grad:
-            taps = _taps(x.data, pad, k, stride, dilation, t_out)
             gw = np.stack([np.einsum("bct,bct->c", g, tap) for tap in taps], axis=1)
         if x.requires_grad:
             prod = np.empty_like(g)
@@ -306,7 +323,15 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
                                  for j in range(k)), stride, dilation, t_out)
         return dx, gw
 
-    return record("depthwise_conv1d", (x, w), out, backward_fn)
+    return _depthwise(taps(), w.data), taps, backward_fn
+
+
+def depthwise_conv1d(x, w, stride=1, dilation=1):
+    """Per-channel 1-D convolution; x (B,C,T), w (C,k)."""
+    x, w = _tensor(x), _tensor(w)
+    y, taps, backward_fn = _depthwise_conv1d("depthwise_conv1d", x, w, stride, dilation)
+    return record("depthwise_conv1d", (x, w), Tensor(y),
+                  lambda g: backward_fn(g, taps() if w.requires_grad else None))
 
 
 def max_pool1d(x, kernel=3, stride=1):
@@ -435,20 +460,64 @@ def channel_norm(x, gamma, beta, running=None, training=True):
     return record("channel_norm", (x, gamma, beta), Tensor(y), backward_fn)
 
 
-def conv1d_norm(x, w, gamma, beta, running=None, training=True, stride=1):
-    """channel_norm(conv1d(x, w, stride), gamma, beta, running, training) as one
-    node.  The conv output, which neither pullback reads, is normalised in
-    place, so the tape keeps xhat where the pair kept it and xhat."""
+def _conv_norm(op, x, w, gamma, beta, running, training, stride, dilation, dw, relu):
+    """channel_norm(conv1d(u, w), gamma, beta, running, training) as one node,
+    where u is x, or relu(x) if relu, then depthwise_conv1d(u, dw, stride,
+    dilation) if dw is given.  The pullback keeps only xhat (the conv output,
+    normalised in place); relu(x) and the depthwise output are rebuilt from
+    x.data, by the forward's own expressions, only for a weight gradient."""
     x, w, gamma, beta = _tensor(x), _tensor(w), _tensor(gamma), _tensor(beta)
-    y, conv_backward = _conv1d("conv1d_norm", x, w, stride, 1)
-    out, norm_backward = _channel_norm("conv1d_norm", y, x.requires_grad or w.requires_grad,
+    if dw is None:
+        inputs = (x, w, gamma, beta)
+        y, dense_backward = _conv1d(op, np.maximum(x.data, 0) if relu else x.data,
+                                    w, stride, dilation)
+
+        def conv_backward(dy):  # (dx, gw)
+            u = np.maximum(x.data, 0) if relu and w.requires_grad else x.data
+            return dense_backward(dy, u, x.requires_grad)
+    else:
+        dw = _tensor(dw)
+        inputs = (x, dw, w, gamma, beta)
+        d, taps, dw_backward = _depthwise_conv1d(op, x, dw, stride, dilation, relu)
+        # a pointwise stride-1 conv reads nothing of its input for dx
+        _shape_check(w.ndim != 3 or w.shape[2] == 1, op,
+                     f"weight after a depthwise conv must be pointwise, got {w.shape}")
+        y, dense_backward = _conv1d(op, d, w, 1, 1)
+        del d
+
+        def conv_backward(dy):  # (dx, gdw, gw)
+            t = taps() if w.requires_grad or dw.requires_grad else None
+            du, gw = dense_backward(dy, _depthwise(t, dw.data) if w.requires_grad else None,
+                                    x.requires_grad or dw.requires_grad)
+            return (*dw_backward(du, t), gw)
+
+    out, norm_backward = _channel_norm(op, y, any(t.requires_grad for t in inputs[:-2]),
                                        gamma, beta, running, training, out=y)
 
     def backward_fn(g):
-        dy, dgamma, dbeta = norm_backward(g)
-        return (*conv_backward(dy), dgamma, dbeta)  # dy is None only if x and w need none
+        dy, dgamma, dbeta = norm_backward(g)  # dy is None only if x, dw and w need none
+        dx, *grads = conv_backward(dy)
+        if relu and dx is not None:
+            dx *= x.data > 0  # dx is a new array
+        return (dx, *grads, dgamma, dbeta)
 
-    return record("conv1d_norm", (x, w, gamma, beta), Tensor(out), backward_fn)
+    return record(op, inputs, Tensor(out), backward_fn)
+
+
+def conv1d_norm(x, w, gamma, beta, running=None, training=True, stride=1):
+    """channel_norm(conv1d(x, w, stride), gamma, beta, running, training) as one
+    node, which keeps xhat and no conv output."""
+    return _conv_norm("conv1d_norm", x, w, gamma, beta, running, training, stride, 1,
+                      None, False)
+
+
+def relu_conv_norm(x, w, gamma, beta, running=None, training=True, stride=1, dilation=1,
+                   dw=None):
+    """channel_norm(conv1d(relu(x), w, stride, dilation), ...) as one node, or
+    with a (C,k) depthwise weight dw and a pointwise w, channel_norm(conv1d(
+    depthwise_conv1d(relu(x), dw, stride, dilation), w), ...)."""
+    return _conv_norm("relu_conv_norm", x, w, gamma, beta, running, training, stride,
+                      dilation, dw, True)
 
 
 def global_avg_pool(x):

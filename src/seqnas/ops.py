@@ -47,11 +47,15 @@ class ChannelNorm(Module):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x, w=None, stride=1):
-        """Normalise x, or conv1d(x, w, stride) as one fused node when w is given."""
+    def forward(self, x, w=None, stride=1, dilation=1, dw=None, relu=False):
+        """Normalise x; when w is given, conv1d(x, w, stride) as one fused node,
+        or with relu, F.relu_conv_norm's relu -> (depthwise dw ->) conv w."""
         running = (self.running_mean, self.running_var) if self.track_running else None
         if w is None:
             return F.channel_norm(x, self.gamma, self.beta, running, self.training)
+        if relu:
+            return F.relu_conv_norm(x, w, self.gamma, self.beta, running, self.training,
+                                    stride, dilation, dw)
         return F.conv1d_norm(x, w, self.gamma, self.beta, running, self.training, stride)
 
 
@@ -66,7 +70,7 @@ class ReLUConvNorm(Module):
         self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        return self.norm.forward(F.relu(x), self.w, self.stride)
+        return self.norm.forward(x, self.w, self.stride, relu=True)
 
 
 class Zero(Module):
@@ -128,8 +132,8 @@ class SepConv(Module):
         self.norm2 = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm2"))
 
     def forward(self, x):
-        x = self.norm1.forward(F.depthwise_conv1d(F.relu(x), self.dw1, self.stride), self.pw1)
-        return self.norm2.forward(F.depthwise_conv1d(F.relu(x), self.dw2), self.pw2)
+        x = self.norm1.forward(x, self.pw1, self.stride, dw=self.dw1, relu=True)
+        return self.norm2.forward(x, self.pw2, dw=self.dw2, relu=True)
 
 
 class DilConv(Module):
@@ -145,8 +149,7 @@ class DilConv(Module):
         self.norm = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        x = F.depthwise_conv1d(F.relu(x), self.dw, self.stride, dilation=2)
-        return self.norm.forward(x, self.pw)
+        return self.norm.forward(x, self.pw, self.stride, dilation=2, dw=self.dw, relu=True)
 
 
 class MaxPool(Module):

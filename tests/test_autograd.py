@@ -638,6 +638,114 @@ def test_conv1d_norm_shape_errors_name_the_op():
         F.conv1d_norm(x, Tensor(np.zeros((4, 3, 1))), ones, Tensor(np.ones(3)))
 
 
+def _relu_depthwise_then_conv1d_norm(x, w, gamma, beta, dw, running, training, stride,
+                                     dilation):
+    return F.conv1d_norm(F.depthwise_conv1d(F.relu(x), dw, stride, dilation), w, gamma, beta,
+                         running, training)
+
+
+def _relu_sep_conv_norm(x, w, gamma, beta, dw, running, training, stride, dilation):
+    return F.relu_conv_norm(x, w, gamma, beta, running, training, stride, dilation, dw)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("mode", sorted(NORM_MODES))
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_relu_conv_norm_is_bitwise_relu_depthwise_then_conv1d_norm(stride, dilation, k,
+                                                                   mode, dtype):
+    arrays = [rng.standard_normal((3, 4, 13)), rng.standard_normal((5, 4, 1)),
+              1.0 + 0.1 * rng.standard_normal(5), 0.1 * rng.standard_normal(5),
+              rng.standard_normal((4, k))]
+    # nothing, x, dw, w, gamma and beta, then both weights, as the arch pass does
+    for frozen in ((), (0,), (4,), (1,), (2, 3), (1, 4)):
+        fused, chain = (_conv_norm_bytes(
+            lambda x, w, g, b, dw, running, training, stride:
+                fn(x, w, g, b, dw, running, training, stride, dilation),
+            arrays, stride, mode, frozen, dtype)
+            for fn in (_relu_sep_conv_norm, _relu_depthwise_then_conv1d_norm))
+        assert fused == chain, frozen
+        assert all((g is None) == (i in frozen) for i, g in enumerate(fused[1:6]))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("mode", sorted(NORM_MODES))
+@pytest.mark.parametrize("case", sorted(CONV_NORM_SHAPES))
+def test_relu_conv_norm_is_bitwise_relu_then_conv1d_norm(case, mode, dtype):
+    x_shape, w_shape, stride = CONV_NORM_SHAPES[case]
+    c = w_shape[0]
+    arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+              1.0 + 0.1 * rng.standard_normal(c), 0.1 * rng.standard_normal(c)]
+    for frozen in ((), (0,), (1,), (2, 3)):
+        fused, chain = (_conv_norm_bytes(fn, arrays, stride, mode, frozen, dtype) for fn in (
+            F.relu_conv_norm,
+            lambda x, w, g, b, running, training, stride:
+                F.conv1d_norm(F.relu(x), w, g, b, running, training, stride)))
+        assert fused == chain, frozen
+        assert all((g is None) == (i in frozen) for i, g in enumerate(fused[1:5]))
+
+
+def test_relu_conv_norm_pullback_with_frozen_weights_rebuilds_nothing(monkeypatch):
+    calls = []
+    for name in ("_depthwise", "_taps"):
+        fn = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    x = parameter(rng.standard_normal((2, 3, 8)))
+    dw, w = Tensor(rng.standard_normal((3, 3))), Tensor(rng.standard_normal((4, 3, 1)))
+    gamma, beta = parameter(np.ones(4)), parameter(np.zeros(4))
+
+    def forward_then_backward():
+        reset_tape()
+        calls.clear()
+        x.zero_grad()
+        out = F.relu_conv_norm(x, w, gamma, beta, dw=dw)
+        assert calls == ["_taps", "_depthwise"]
+        calls.clear()
+        weights = Tensor(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))
+        backward(F.sum_all(F.mul(out, weights)))
+        assert x.grad is not None
+        return calls
+
+    assert forward_then_backward() == []  # the arch pass: dx only
+    dw.requires_grad = True  # the depthwise gradient reads the relu taps
+    assert forward_then_backward() == ["_taps"]
+    w.requires_grad = True  # and the pointwise gradient the depthwise output
+    assert forward_then_backward() == ["_taps", "_depthwise"]
+
+
+def test_relu_conv_norm_records_one_node_and_none_under_no_grad():
+    x, dw = Tensor(rng.standard_normal((2, 3, 8))), parameter(rng.standard_normal((3, 5)))
+    w = parameter(rng.standard_normal((4, 3, 1)))
+    gamma, beta = parameter(np.ones(4)), parameter(np.zeros(4))
+    reset_tape()
+    with no_grad():
+        out = F.relu_conv_norm(x, w, gamma, beta, dw=dw)
+        F.relu_conv_norm(x, w, gamma, beta)
+    assert not tape().nodes and not out.requires_grad
+    F.relu_conv_norm(x, w, gamma, beta, stride=2, dilation=2, dw=dw)
+    F.relu_conv_norm(x, w, gamma, beta)
+    assert [n.op for n in tape().nodes] == ["relu_conv_norm"] * 2
+
+
+def test_relu_conv_norm_shape_errors_name_the_op():
+    x, ones = Tensor(np.zeros((2, 3, 8))), Tensor(np.ones(4))
+    w = Tensor(np.zeros((4, 3, 1)))
+    cases = [
+        (dict(w=Tensor(np.zeros((4, 5, 1)))), "weight expects 5 channels"),
+        (dict(dw=Tensor(np.zeros((5, 3)))), "weight has 5 channels"),
+        (dict(dw=Tensor(np.zeros((3, 4)))), "kernel length must be odd"),
+        (dict(dw=Tensor(np.zeros((3, 3))), w=Tensor(np.zeros((4, 3, 3)))), "pointwise"),
+        (dict(gamma=Tensor(np.ones(3))), "gamma"),
+        (dict(dw=Tensor(np.zeros((3, 3))), beta=Tensor(np.ones(3))), "beta"),
+    ]
+    for kwargs, match in cases:
+        args = {"w": w, "gamma": ones, "beta": ones, **kwargs}
+        with pytest.raises(ShapeError, match=f"relu_conv_norm: .*{match}"):
+            F.relu_conv_norm(x, **args)
+
+
 def test_relus_of_one_activation_share_one_read_only_buffer():
     x = F.scale(parameter(rng.standard_normal((2, 3, 4))), 1.0)
     a, b = F.relu(x), F.relu(x)

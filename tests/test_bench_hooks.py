@@ -120,5 +120,5 @@ def test_trace_times_every_pullback_inside_the_sweep(monkeypatch):
         search.triple_step(net, train_b, val_b, state, 0.01)
 
     closed = {s[0] for s in tracer.spans if s[2] >= s[1]}
-    for op in ("conv1d", "depthwise_conv1d", "channel_norm", "weighted_sum", "add"):
+    for op in ("conv1d", "relu_conv_norm", "channel_norm", "weighted_sum", "add"):
         assert f"functional.{op}.bwd" in closed, op

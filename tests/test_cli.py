@@ -525,3 +525,25 @@ def test_non_utf8_input_file_is_data_error(tmp_path, capsys, command):
     assert run_cli([*command(tmp_path), "--out", out]) == 3
     assert "utf-8" in capsys.readouterr().err.lower()
     assert not (out / "manifest.json").exists()
+
+
+def test_manifest_names_each_segment_too_short_for_a_window(tmp_path):
+    # an 80-sample NaN gap at 100-180 of S1's 192-sample session 1 leaves a
+    # 12-sample tail, too short for a 64-sample window
+    data = _micro_csv(tmp_path)
+    lines = data.read_text().splitlines()
+    first = lines.index(next(row for row in lines if row.startswith("S1,1,")))
+    for i in range(first + 100, first + 180):
+        lines[i] = "S1,1,nan,nan"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "train"
+    assert run_cli(["train", "--data", data, "--window", "64", "--stride", "32", *MICRO_NET,
+                    "--genotype", _hand_genotype(tmp_path), "--epochs", "0",
+                    "--out", out]) == 0
+    desc = json.loads((out / "manifest.json").read_text())["config"]["data"]
+    assert desc["dropped_segments"] == [["S1", 1, 12]]
+    synthetic = tmp_path / "synthetic"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", _hand_genotype(tmp_path),
+                    "--epochs", "0", "--out", synthetic]) == 0
+    desc = json.loads((synthetic / "manifest.json").read_text())["config"]["data"]
+    assert desc["dropped_segments"] == []

@@ -345,8 +345,9 @@ def _is_or_views(a, allowed):
 def test_tape_keeps_each_activation_once():
     """After a grad-mode supernet forward, a pullback keeps nothing bigger than
     a per-channel vector beyond its node's input and output data (the normalised
-    input xhat of channel_norm and conv1d_norm excepted), no conv1d output feeds
-    a channel_norm, and relus of one input share one buffer."""
+    input xhat of the norm nodes excepted), no conv1d output feeds a
+    channel_norm, no depthwise_conv1d is recorded, and relus of one input share
+    one buffer."""
     net = Supernet(small_config(), seed=2)
     net.forward(Tensor(rng.standard_normal((3, 2, 24)).astype(np.float32)))
     nodes = tape().nodes
@@ -357,7 +358,8 @@ def test_tape_keeps_each_activation_once():
         channels = max((t.shape[1] for t in tensors if t.ndim >= 2), default=0)
         for var, a in _closure_arrays(node.backward_fn):
             if a.size <= channels or (
-                    var == "xhat" and node.op in ("channel_norm", "conv1d_norm")):
+                    var == "xhat" and node.op in ("channel_norm", "conv1d_norm",
+                                            "relu_conv_norm")):
                 continue
             kept += 1
             assert _is_or_views(a, allowed), (node.op, var, a.shape)
@@ -367,6 +369,10 @@ def test_tape_keeps_each_activation_once():
     conv_outs = {id(n.out) for n in nodes if n.op == "conv1d"}
     assert not any(id(n.inputs[0]) in conv_outs for n in nodes if n.op == "channel_norm")
     assert any(n.op == "conv1d_norm" for n in nodes)
+    # each relu -> (depthwise ->) conv -> norm unit is one relu_conv_norm node, so
+    # every relu node left belongs to a FactorizedReduce
+    assert not any(n.op == "depthwise_conv1d" for n in nodes)
+    assert any(n.op == "relu_conv_norm" for n in nodes)
 
     relus = {}
     for node in nodes:
