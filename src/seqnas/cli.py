@@ -197,7 +197,7 @@ def _build_dataset(args, cfg, seed, test_session=False):
     dataset = D.make_windows(records, cfg.window, cfg.stride)
     if test_session and not (dataset.sessions == 2).any():
         raise D.DataError("dataset has no session-2 windows to test on")
-    desc["dropped_segments"] = [list(seg) for seg in dataset.dropped]
+    desc["dropped_segments"] = dataset.dropped
     return dataset, desc, input_hash
 
 
