@@ -54,7 +54,7 @@ def using_dtype(dtype):
 class Tensor:
     """Dense array plus an optional gradient buffer of identical shape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "tape_id", "relu_data")
+    __slots__ = ("data", "requires_grad", "grad", "name", "tape_id", "pools")
 
     def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
@@ -69,7 +69,7 @@ class Tensor:
         self.grad = None
         self.name = name
         self.tape_id = None
-        self.relu_data = None  # functional.relu's read-only output, shared per input
+        self.pools = None  # functional._pool's read-only outputs, shared per input
 
     @property
     def shape(self):

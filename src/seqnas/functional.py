@@ -14,15 +14,18 @@ data, its output's data (or views of them) and per-channel vectors; the
 one exception is the normalised input xhat of the norm nodes.  A conv
 feeding a norm is one node that normalises the conv output in place, since
 neither pullback reads it, so xhat is kept instead of beside it:
-conv1d_norm, and relu_conv_norm for relu -> (depthwise ->) conv -> norm,
-which rebuilds relu(x) and the depthwise output from x.data only when a
-weight gradient reads them.  Convolutions and pools rebuild padded or
-unfolded inputs from x.data when they pull back, and _untap adds their
-gradients straight into a new unpadded array.  Activations are never
-written in place, so every relu recorded on one input shares one read-only
-output buffer.  Convolutions and pools use "same-length" semantics: symmetric
-zero padding of (k-1)/2 * dilation per side, so stride-1 ops preserve
-temporal length and stride-2 ops emit ceil(T/stride) samples.
+conv1d_norm; relu_conv_norm for relu -> (depthwise ->) conv -> norm; and
+factorized_reduce for relu -> two offset stride-2 pointwise convs -> concat
+-> norm.  The last two rebuild relu(x), and relu_conv_norm its depthwise
+output, from x.data only when a weight gradient reads them.  Convolutions and pools rebuild
+padded or unfolded inputs from x.data when they pull back, and _untap adds
+their gradients straight into a new unpadded array.  Activations are never
+written in place, so the max (or avg) pools of one kernel and stride on one
+activation of the current tape share one read-only output buffer, while
+each call records its own node.  Convolutions and pools use "same-length"
+semantics: symmetric zero padding of (k-1)/2 * dilation per side, so
+stride-1 ops preserve temporal length and stride-2 ops emit ceil(T/stride)
+samples.
 """
 
 import numpy as np
@@ -90,17 +93,8 @@ def sum_all(x):
 
 
 def relu(x):
-    """max(x, 0) as a read-only array.  Every relu of one activation of the
-    current tape shares one buffer, kept in x.relu_data and freed with x; each
-    call still records its own node, so gradients add up as if unshared."""
     x = _tensor(x)
-    y = x.relu_data
-    if y is None:
-        y = np.maximum(x.data, 0)
-        y.flags.writeable = False
-        if x.tape_id == tape().id:  # never a parameter: the optimizers update those in place
-            x.relu_data = y
-    out = Tensor(y)
+    out = Tensor(np.maximum(x.data, 0))
 
     return record("relu", (x,), out, lambda g: (g * (x.data > 0),))
 
@@ -334,16 +328,37 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
                   lambda g: backward_fn(g, taps() if w.requires_grad else None))
 
 
+def _pool(op, x, kernel, stride, pool):
+    """pool() as a read-only array, which every op pool of one kernel and
+    stride on x shares if x is an activation of the current tape: it is kept
+    in x.pools and freed with x.  Nothing is kept for a parameter, which the
+    optimizers update in place, nor for another tape's tensor."""
+    if x.tape_id != tape().id:
+        return pool()
+    key = (op, kernel, stride)
+    if x.pools is None:
+        x.pools = {}
+    y = x.pools.get(key)
+    if y is None:
+        y = x.pools[key] = pool()
+        y.flags.writeable = False
+    return y
+
+
 def max_pool1d(x, kernel=3, stride=1):
     x = _tensor(x)
     _shape_check(x.ndim == 3, "max_pool1d", f"input must be (B,C,T), got {x.shape}")
     T = x.shape[2]
     pad, t_out = _conv_geometry("max_pool1d", T, kernel, stride, 1)
-    taps = _taps(x.data, pad, kernel, stride, 1, t_out, fill=-np.inf)
-    m = taps[0]
-    for tap in taps[1:]:
-        m = np.maximum(m, tap)
-    out = Tensor(m)
+
+    def pool():
+        taps = _taps(x.data, pad, kernel, stride, 1, t_out, fill=-np.inf)
+        m = taps[0]
+        for tap in taps[1:]:
+            m = np.maximum(m, tap)
+        return m
+
+    out = Tensor(_pool("max_pool1d", x, kernel, stride, pool))
 
     def backward_fn(g):
         m = out.data
@@ -369,26 +384,34 @@ def avg_pool1d(x, kernel=3, stride=1):
         hi = (t_out - 1) * stride + 1
         return sum(valid[j : j + hi : stride] for j in range(kernel))
 
-    out = Tensor(sum(_taps(x.data, pad, kernel, stride, 1, t_out)) / counts())
+    out = Tensor(_pool("avg_pool1d", x, kernel, stride,
+                       lambda: sum(_taps(x.data, pad, kernel, stride, 1, t_out)) / counts()))
 
     return record("avg_pool1d", (x,), out,
                   lambda g: (_untap(x, pad, [g / counts()] * kernel, stride, 1, t_out),))
+
+
+def _shift_time(x):
+    """The array x one time step left, zero-padded at the end: a new array."""
+    y = np.zeros_like(x)
+    y[:, :, :-1] = x[:, :, 1:]
+    return y
+
+
+def _unshift_time(g):
+    """The adjoint of _shift_time: a new array."""
+    gx = np.zeros(g.shape, dtype=g.dtype)
+    gx[:, :, 1:] = g[:, :, :-1]
+    return gx
 
 
 def shift_time(x):
     """Drop the first time step and zero-pad the end (length preserved)."""
     x = _tensor(x)
     _shape_check(x.ndim == 3, "shift_time", f"input must be (B,C,T), got {x.shape}")
-    data = np.zeros_like(x.data)
-    data[:, :, :-1] = x.data[:, :, 1:]
-    out = Tensor(data)
 
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :, 1:] = g[:, :, :-1]
-        return (gx,)
-
-    return record("shift_time", (x,), out, backward_fn)
+    return record("shift_time", (x,), Tensor(_shift_time(x.data)),
+                  lambda g: (_unshift_time(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +541,40 @@ def relu_conv_norm(x, w, gamma, beta, running=None, training=True, stride=1, dil
     depthwise_conv1d(relu(x), dw, stride, dilation), w), ...)."""
     return _conv_norm("relu_conv_norm", x, w, gamma, beta, running, training, stride,
                       dilation, dw, True)
+
+
+def factorized_reduce(x, w1, w2, gamma, beta, running=None, training=True):
+    """channel_norm(concat([conv1d(u, w1, 2), conv1d(shift_time(u), w2, 2)]),
+    gamma, beta, running, training) with u = relu(x), as one node.  The
+    pullback keeps only xhat (the concatenated conv outputs, normalised in
+    place); relu(x) is rebuilt from x.data only for a weight gradient."""
+    op = "factorized_reduce"
+    x, w1, w2, gamma, beta = (_tensor(t) for t in (x, w1, w2, gamma, beta))
+    inputs = (x, w1, w2, gamma, beta)
+    u = np.maximum(x.data, 0)
+    a, back1 = _conv1d(op, u, w1, 2, 1)
+    b, back2 = _conv1d(op, _shift_time(u), w2, 2, 1)
+    half = a.shape[1]
+    y = np.concatenate([a, b], axis=1)
+    del u, a, b
+    out, norm_backward = _channel_norm(op, y, any(t.requires_grad for t in inputs[:3]),
+                                       gamma, beta, running, training, out=y)
+
+    def backward_fn(g):
+        dy, dgamma, dbeta = norm_backward(g)  # dy is None only if x, w1 and w2 need none
+        dx = gw1 = gw2 = None
+        if dy is not None:
+            u = np.maximum(x.data, 0) if w1.requires_grad or w2.requires_grad else x.data
+            du2, gw2 = back2(dy[:, half:], _shift_time(u) if w2.requires_grad else u,
+                             x.requires_grad)
+            du1, gw1 = back1(dy[:, :half], u, x.requires_grad)
+            if x.requires_grad:  # the chain's order: unshift, add, relu mask
+                dx = _unshift_time(du2)
+                dx += du1
+                dx *= x.data > 0
+        return dx, gw1, gw2, dgamma, dbeta
+
+    return record(op, inputs, Tensor(out), backward_fn)
 
 
 def global_avg_pool(x):

@@ -6,11 +6,12 @@ indices stay stable across runs.
 """
 
 import math
+import weakref
 
 import numpy as np
 
 from . import functional as F
-from .autograd import parameter
+from .autograd import Tensor, parameter
 from .module import Module
 
 OP_VOCAB = (
@@ -47,12 +48,13 @@ class ChannelNorm(Module):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x, w=None, stride=1, dilation=1, dw=None, relu=False):
-        """Normalise x; when w is given, conv1d(x, w, stride) as one fused node,
-        or with relu, F.relu_conv_norm's relu -> (depthwise dw ->) conv w."""
+    def forward(self, x, w, stride=1, dilation=1, dw=None, relu=False, w2=None):
+        """Normalise conv1d(x, w, stride) as one fused node; with relu,
+        F.relu_conv_norm's relu -> (depthwise dw ->) conv w; with w2,
+        F.factorized_reduce's two stride-2 convs w and w2 of relu(x)."""
         running = (self.running_mean, self.running_var) if self.track_running else None
-        if w is None:
-            return F.channel_norm(x, self.gamma, self.beta, running, self.training)
+        if w2 is not None:
+            return F.factorized_reduce(x, w, w2, self.gamma, self.beta, running, self.training)
         if relu:
             return F.relu_conv_norm(x, w, self.gamma, self.beta, running, self.training,
                                     stride, dilation, dw)
@@ -74,7 +76,11 @@ class ReLUConvNorm(Module):
 
 
 class Zero(Module):
-    """The "none" candidate: an all-zero tensor of the target output shape."""
+    """The "none" candidate: an all-zero tensor of the target output shape.
+    Every edge reads one read-only zero array per (shape, dtype), held only
+    while some tensor holds it."""
+
+    _zeros = weakref.WeakValueDictionary()
 
     def __init__(self, stride):
         super().__init__()
@@ -82,8 +88,12 @@ class Zero(Module):
 
     def forward(self, x):
         b, c, t = x.shape
-        t_out = -(-t // self.stride)
-        return F.zeros((b, c, t_out), dtype=x.dtype)
+        key = ((b, c, -(-t // self.stride)), x.dtype)
+        z = Zero._zeros.get(key)
+        if z is None:
+            z = Zero._zeros[key] = np.zeros(*key)
+            z.flags.writeable = False
+        return Tensor(z)
 
 
 class Identity(Module):
@@ -92,7 +102,8 @@ class Identity(Module):
 
 
 class FactorizedReduce(Module):
-    """Stride-2 skip connection: two offset 1x1 convs, concatenated.
+    """Stride-2 skip connection: relu, two offset 1x1 convs, concatenated and
+    normalised, recorded as one F.factorized_reduce node.
 
     The second branch sees the input shifted one step left (zero padded at
     the end) so the two halves sample interleaved positions.
@@ -108,10 +119,7 @@ class FactorizedReduce(Module):
         self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        x = F.relu(x)
-        a = F.conv1d(x, self.w1, stride=2)
-        b = F.conv1d(F.shift_time(x), self.w2, stride=2)
-        return self.norm.forward(F.concat([a, b], axis=1))
+        return self.norm.forward(x, self.w1, w2=self.w2)
 
 
 class SepConv(Module):

@@ -439,7 +439,7 @@ def test_array_handed_to_two_inputs_is_taken_over_once():
 
 
 # ---------------------------------------------------------------------------
-# pullbacks that rebuild padded inputs, and shared relu buffers, are bitwise
+# pullbacks that rebuild padded inputs, and shared pool buffers, are bitwise
 # the previous formulas
 
 
@@ -489,12 +489,6 @@ def max_pool1d_reference(x, kernel=3, stride=1):
     return record("max_pool1d", (x,), Tensor(m), backward_fn)
 
 
-def relu_reference(x):
-    """relu as it was, with a fresh output array per call."""
-    return record("relu", (x,), Tensor(np.maximum(x.data, 0)),
-                    lambda g: (g * (x.data > 0),))
-
-
 def _outputs_and_grads(build, arrays, dtype):
     """Bytes of build's output and of every input's gradient after a
     fixed-weight sum of that output."""
@@ -529,19 +523,34 @@ def test_max_pool1d_with_ties_is_bitwise_the_previous_formula(stride, dtype):
     assert new == old
 
 
+def avg_pool1d_reference(x, kernel=3, stride=1):
+    """avg_pool1d as it was, with a fresh output array per call."""
+    T = x.shape[2]
+    pad, t_out = (kernel - 1) // 2, -(-T // stride)
+    counts = sum(_padded_taps(np.ones((1, 1, T)), pad, kernel, stride, 1, t_out, 0.0))[0, 0]
+    out = sum(_padded_taps(x.data, pad, kernel, stride, 1, t_out, 0.0)) / counts.astype(x.dtype)
+    return record("avg_pool1d", (x,), Tensor(out), lambda g: (F._untap(
+        x, pad, [g / counts.astype(x.dtype)] * kernel, stride, 1, t_out),))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_shared_relu_is_bitwise_two_relus_and_a_skip(dtype):
-    def graph(relu):
+@pytest.mark.parametrize("stride", [1, 2])
+def test_shared_pools_are_bitwise_separate_pools(stride, dtype):
+    def graph(max_pool, avg_pool):
         def build(p, w):
             x = F.mul(p, w)  # an activation recorded on the tape
-            mix = Tensor(np.array([0.5, -1.5, 2.0], dtype=x.dtype))
-            y = F.weighted_sum([relu(x), x, relu(x)], mix)
-            return F.mul(relu(y), x)
+            pools = [pool(x, 3, stride) for pool in (max_pool, avg_pool, max_pool, avg_pool)]
+            mix = Tensor(np.array([0.5, -1.5, 2.0, 0.25], dtype=x.dtype))
+            y = F.weighted_sum(pools, mix)
+            return F.mul(max_pool(y, 3, 1), y)
         return build
 
-    arrays = [rng.standard_normal((3, 4, 13)), rng.standard_normal((3, 4, 13))]
-    assert (_outputs_and_grads(graph(F.relu), arrays, dtype)
-            == _outputs_and_grads(graph(relu_reference), arrays, dtype))
+    x = np.random.default_rng(9).integers(-2, 3, size=(3, 4, 13)).astype(float)  # ties
+    arrays = [x, rng.standard_normal((3, 4, 13))]
+    shared = _outputs_and_grads(graph(F.max_pool1d, F.avg_pool1d), arrays, dtype)
+    separate = _outputs_and_grads(graph(max_pool1d_reference, avg_pool1d_reference),
+                                  arrays, dtype)
+    assert shared == separate
 
 
 def _untap_padded_reference(x, pad, tap_grads, stride, dilation, t_out):
@@ -591,7 +600,7 @@ def _conv_norm_bytes(fn, arrays, stride, mode, frozen, dtype):
     inputs = [Tensor(a.astype(dtype), requires_grad=i not in frozen)
               for i, a in enumerate(arrays)]
     keep, training = NORM_MODES[mode]
-    c = arrays[1].shape[0]
+    c = next(a.size for a in arrays if a.ndim == 1)  # gamma's
     running = (np.linspace(-0.3, 0.2, c).astype(dtype),
                np.linspace(0.5, 2.0, c).astype(dtype)) if keep else None
     out = fn(*inputs, running, training, stride)
@@ -746,16 +755,69 @@ def test_relu_conv_norm_shape_errors_name_the_op():
             F.relu_conv_norm(x, **args)
 
 
-def test_relus_of_one_activation_share_one_read_only_buffer():
-    x = F.scale(parameter(rng.standard_normal((2, 3, 4))), 1.0)
-    a, b = F.relu(x), F.relu(x)
+def test_pools_of_one_activation_share_one_read_only_buffer():
+    x = F.scale(parameter(rng.standard_normal((2, 3, 8))), 1.0)
+    a, b = F.max_pool1d(x, 3, 2), F.max_pool1d(x, 3, 2)
     assert a.data is b.data and not a.data.flags.writeable
-    assert F.relu(Tensor(x.data)).data is not a.data  # not an activation of the tape
+    assert a is not b and [n.op for n in tape().nodes[-2:]] == ["max_pool1d"] * 2
+    assert F.avg_pool1d(x, 3, 2).data is F.avg_pool1d(x, 3, 2).data
+    assert F.avg_pool1d(x, 3, 2).data is not a.data
+    assert F.max_pool1d(x, 3, 1).data is not a.data  # another stride
+    assert F.max_pool1d(Tensor(x.data), 3, 2).data is not a.data  # not an activation
 
 
-def test_relu_of_a_parameter_sees_its_in_place_update():
-    p = parameter(np.array([-1.0, 0.5, 2.0]))
-    backward(F.sum_all(F.relu(p)))
-    SGD([p], momentum=0.0).step(1.0)  # p.data -= 1.0 * [0, 1, 1], in place
-    assert p.relu_data is None
-    assert F.relu(p).data.tolist() == [0.0, 0.0, 1.0]
+def test_pools_of_a_parameter_are_not_shared_and_see_its_in_place_update():
+    p = parameter(np.array([-1.0, 0.5, 2.0, -0.5]).reshape(1, 1, 4))
+    assert F.max_pool1d(p).data is not F.max_pool1d(p).data
+    backward(F.sum_all(F.avg_pool1d(p)))
+    SGD([p], momentum=0.0).step(1.0)  # p.data -= p.grad, in place
+    assert p.pools is None
+    assert F.max_pool1d(p).data.tobytes() == max_pool_oracle(p.data, 3, 1).tobytes()
+
+
+def _factorized_reduce_chain(x, w1, w2, gamma, beta, running, training, stride):
+    u = F.relu(x)
+    y = F.concat([F.conv1d(u, w1, stride=2), F.conv1d(F.shift_time(u), w2, stride=2)])
+    return F.channel_norm(y, gamma, beta, running, training)
+
+
+def _factorized_reduce(x, w1, w2, gamma, beta, running, training, stride):
+    return F.factorized_reduce(x, w1, w2, gamma, beta, running, training)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("mode", sorted(NORM_MODES))
+@pytest.mark.parametrize("T", [12, 13])
+def test_factorized_reduce_is_bitwise_relu_convs_shift_concat_then_channel_norm(T, mode,
+                                                                                dtype):
+    arrays = [rng.standard_normal((3, 4, T)), rng.standard_normal((3, 4, 1)),
+              rng.standard_normal((2, 4, 1)), 1.0 + 0.1 * rng.standard_normal(5),
+              0.1 * rng.standard_normal(5)]
+    for frozen in ((), (0,), (1,), (2,), (3, 4)):  # nothing, x, w1, w2, gamma and beta
+        fused, chain = (_conv_norm_bytes(fn, arrays, 2, mode, frozen, dtype)
+                        for fn in (_factorized_reduce, _factorized_reduce_chain))
+        assert fused == chain, frozen
+        assert all((g is None) == (i in frozen) for i, g in enumerate(fused[1:6]))
+
+
+def test_factorized_reduce_records_one_node_and_none_under_no_grad():
+    x, w1 = Tensor(rng.standard_normal((2, 3, 8))), parameter(rng.standard_normal((2, 3, 1)))
+    w2 = parameter(rng.standard_normal((2, 3, 1)))
+    gamma, beta = parameter(np.ones(4)), parameter(np.zeros(4))
+    reset_tape()
+    with no_grad():
+        out = F.factorized_reduce(x, w1, w2, gamma, beta)
+    assert not tape().nodes and not out.requires_grad and out.shape == (2, 4, 4)
+    F.factorized_reduce(x, w1, w2, gamma, beta)
+    assert [n.op for n in tape().nodes] == ["factorized_reduce"]
+
+
+def test_factorized_reduce_shape_errors_name_the_op():
+    x, w = Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros((2, 3, 1)))
+    ones = Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match="factorized_reduce: input must be"):
+        F.factorized_reduce(Tensor(np.zeros((3, 8))), w, w, ones, ones)
+    with pytest.raises(ShapeError, match="factorized_reduce: weight expects 5 channels"):
+        F.factorized_reduce(x, w, Tensor(np.zeros((2, 5, 1))), ones, ones)
+    with pytest.raises(ShapeError, match="factorized_reduce: gamma"):
+        F.factorized_reduce(x, w, w, Tensor(np.ones(3)), ones)

@@ -95,8 +95,8 @@ def test_trace_covers_final_training_and_embedding(monkeypatch):
 
     names = {s[0] for s in tracer.spans}
     for name in ("train.step", "train.drop_path", "cell.discrete_forward",
-                 "cell.eval_forward", "functional.channel_norm.fwd",
-                 "functional.channel_norm.eval_fwd", "functional.channel_norm.bwd"):
+                 "cell.eval_forward", "functional.add.fwd",
+                 "functional.add.eval_fwd", "functional.add.bwd"):
         assert name in names, name
     assert not tracer.stack
     assert all(s[2] >= s[1] for s in tracer.spans)  # every span was closed
@@ -120,5 +120,5 @@ def test_trace_times_every_pullback_inside_the_sweep(monkeypatch):
         search.triple_step(net, train_b, val_b, state, 0.01)
 
     closed = {s[0] for s in tracer.spans if s[2] >= s[1]}
-    for op in ("conv1d", "relu_conv_norm", "channel_norm", "weighted_sum", "add"):
+    for op in ("relu_conv_norm", "factorized_reduce", "weighted_sum", "add"):
         assert f"functional.{op}.bwd" in closed, op

@@ -10,7 +10,7 @@ from seqnas.cell import NUM_EDGES, CellGenotype, Genotype
 from seqnas.network import (DiscreteNetwork, NetworkError, Supernet,
                             SupernetConfig, _check_temporal, gate_coefficients,
                             instantiate_discrete)
-from seqnas.ops import OP_VOCAB
+from seqnas.ops import OP_VOCAB, FactorizedReduce
 from seqnas.serialize import CheckpointError, load_arrays
 from helpers import finite_difference_check
 
@@ -342,12 +342,22 @@ def _is_or_views(a, allowed):
     return False
 
 
-def test_tape_keeps_each_activation_once():
+def test_tape_keeps_each_activation_once(monkeypatch):
     """After a grad-mode supernet forward, a pullback keeps nothing bigger than
     a per-channel vector beyond its node's input and output data (the normalised
     input xhat of the norm nodes excepted), no conv1d output feeds a
-    channel_norm, no depthwise_conv1d is recorded, and relus of one input share
-    one buffer."""
+    channel_norm, no depthwise_conv1d is recorded, each FactorizedReduce records
+    one node, and pools of one input with one op and stride share one buffer."""
+    fr_ops = []
+    fr_forward = FactorizedReduce.forward
+
+    def spy(module, x):
+        start = len(tape().nodes)
+        out = fr_forward(module, x)
+        fr_ops.append([n.op for n in tape().nodes[start:]])
+        return out
+
+    monkeypatch.setattr(FactorizedReduce, "forward", spy)
     net = Supernet(small_config(), seed=2)
     net.forward(Tensor(rng.standard_normal((3, 2, 24)).astype(np.float32)))
     nodes = tape().nodes
@@ -359,7 +369,7 @@ def test_tape_keeps_each_activation_once():
         for var, a in _closure_arrays(node.backward_fn):
             if a.size <= channels or (
                     var == "xhat" and node.op in ("channel_norm", "conv1d_norm",
-                                            "relu_conv_norm")):
+                                                  "relu_conv_norm", "factorized_reduce")):
                 continue
             kept += 1
             assert _is_or_views(a, allowed), (node.op, var, a.shape)
@@ -369,17 +379,20 @@ def test_tape_keeps_each_activation_once():
     conv_outs = {id(n.out) for n in nodes if n.op == "conv1d"}
     assert not any(id(n.inputs[0]) in conv_outs for n in nodes if n.op == "channel_norm")
     assert any(n.op == "conv1d_norm" for n in nodes)
-    # each relu -> (depthwise ->) conv -> norm unit is one relu_conv_norm node, so
-    # every relu node left belongs to a FactorizedReduce
+    # each relu -> (depthwise ->) conv -> norm unit is one relu_conv_norm node
     assert not any(n.op == "depthwise_conv1d" for n in nodes)
     assert any(n.op == "relu_conv_norm" for n in nodes)
+    # and each FactorizedReduce one factorized_reduce node: no relu, shift_time,
+    # conv1d, concat or channel_norm node under it
+    assert fr_ops and all(ops == ["factorized_reduce"] for ops in fr_ops)
 
-    relus = {}
+    pools = {}
     for node in nodes:
-        if node.op == "relu":
-            relus.setdefault(id(node.inputs[0]), []).append(node.out.data)
-    assert max(len(outs) for outs in relus.values()) >= 4
-    for outs in relus.values():
+        if node.op in ("max_pool1d", "avg_pool1d"):
+            key = (id(node.inputs[0]), node.op, node.out.shape)
+            pools.setdefault(key, []).append(node.out.data)
+    assert max(len(outs) for outs in pools.values()) >= 4
+    for outs in pools.values():
         assert all(o is outs[0] for o in outs) and not outs[0].flags.writeable
 
 

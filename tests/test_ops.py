@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqnas import functional as F
 from seqnas.autograd import Tensor, parameter, reset_tape, using_dtype
-from seqnas.ops import OP_VOCAB, MixedOp, make_op, mixed_forward
+from seqnas.ops import OP_VOCAB, MixedOp, Zero, make_op, mixed_forward
 from helpers import finite_difference_check
 
 rng = np.random.default_rng(7)
@@ -35,6 +35,19 @@ def test_none_is_all_zeros_of_target_shape():
         out = make_op("none", 4, stride, rng, np.float32).forward(x)
         assert out.shape == (2, 4, t_out)
         assert not out.data.any()
+
+
+def test_none_reads_one_read_only_zero_array_per_shape():
+    x = Tensor(rng.standard_normal((2, 4, 12)).astype(np.float32))
+    a, b = (make_op("none", 4, 1, rng, np.float32).forward(x) for _ in range(2))
+    assert a.data is b.data and not a.data.flags.writeable and not a.requires_grad
+    reduced = make_op("none", 4, 2, rng, np.float32).forward(x)
+    wide = make_op("none", 4, 1, rng, np.float32).forward(Tensor(x.data.astype(np.float64)))
+    assert reduced.data is not a.data and wide.data is not a.data
+    assert wide.dtype == np.float64
+    assert F.zeros(x.shape).data.flags.writeable  # the pruned-input path keeps its own
+    del a, b
+    assert ((2, 4, 12), np.dtype(np.float32)) not in Zero._zeros  # freed with its tensors
 
 
 def test_skip_connect_identity_vs_projection():

@@ -374,3 +374,38 @@ def test_softmax_rows_sum_to_one_throughout_search(monkeypatch):
     around_each_step(monkeypatch, after=watch)
     run_search(cfg, ds)
     assert sums and max(sums) < 1e-6
+
+
+def test_search_state_after_three_triple_steps_is_pinned():
+    # every parameter, norm buffer and optimizer array after 2 first-order and
+    # 1 unrolled (xi=0.01) triple step at the benchmark's shapes: the desk-scale
+    # synthetic set, batch 32, init_channels 8; a kernel change that reorders a
+    # single float operation moves this digest
+    from dataclasses import replace
+    from hashlib import sha256
+
+    from seqnas.data import batches
+    from seqnas.network import Supernet
+    from seqnas.optim import make_triple_state, triple_step
+
+    dataset = make_windows(synth_generate(20, sessions=2, length=1280, channels=2, seed=1),
+                           128, 64)
+    config = SearchRunConfig(epochs=1, train_batch=32, val_batch=32, seed=1, tier="relax",
+                             init_channels=8, optimizer=OptimizerConfig())
+    train, val, _ = search_split(config, dataset)
+    net = Supernet(config.supernet_config(dataset.num_classes, dataset.windows.shape[1]),
+                   seed=config.seed)
+    state = make_triple_state(net, config.optimizer)
+    for step, (tb, vb) in enumerate(zip(batches(train, 32), batches(val, 32))):
+        if step == 2:
+            state.config = replace(state.config, xi=0.01)
+        elif step == 3:
+            break
+        triple_step(net, tb, vb, state, config.optimizer.w_lr0)
+    h = sha256()
+    arrays = {**net.state_arrays(), **{f"opt:{k}": v for k, v in state.state_arrays().items()}}
+    for name, arr in sorted(arrays.items()):
+        h.update(f"{name}:{arr.dtype.name}:{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == \
+        "0e2fa14fe5f1df92515563f2642c73f98ff6c419268242bdf681e4744cf51a94"
