@@ -301,8 +301,8 @@ class SearchCell(_Cell):
 class DiscreteCell(_Cell):
     """A cell instantiated from a genotype entry, with fresh weights.
 
-    Edge outputs can be regularized (drop-path) via edge_regularizer; the
-    callable is skipped on identity edges.
+    Edge outputs can be regularized (drop-path) via edge_regularizer; every
+    skip_connect edge, identity or stride-2 FactorizedReduce, skips it.
     """
 
     def __init__(self, entry, c_pp, c_p, channels, reduction_prev, rng, dtype, tag=""):

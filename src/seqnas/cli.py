@@ -203,7 +203,6 @@ def _build_dataset(args, cfg, seed, test_session=False):
 
 def write_manifest(out_dir, command, config, input_hashes, outputs, seed):
     """Run manifest: written before compute, never touched afterward."""
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
         "config": config,
@@ -213,7 +212,11 @@ def write_manifest(out_dir, command, config, input_hashes, outputs, seed):
         "outputs": outputs,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    except OSError as exc:
+        raise D.DataError(f"cannot write run directory {out_dir}: {exc}") from exc
     return manifest
 
 

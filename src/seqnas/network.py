@@ -123,7 +123,7 @@ class _Backbone(Module):
                 f"input must be (B, {self.config.input_channels}, T), got {x.shape}"
             )
         _check_temporal(self.config.layout, x.shape[2])
-        s0 = s1 = self.stem_norm.forward(x, self.stem_w)
+        s0 = s1 = F.conv1d_norm(x, self.stem_w, *self.stem_norm.args())
         for i, cell in enumerate(self.cells):
             s0, s1 = s1, run_cell(i, cell, s0, s1)
         pooled = F.global_avg_pool(s1)

@@ -48,17 +48,10 @@ class ChannelNorm(Module):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x, w, stride=1, dilation=1, dw=None, relu=False, w2=None):
-        """Normalise conv1d(x, w, stride) as one fused node; with relu,
-        F.relu_conv_norm's relu -> (depthwise dw ->) conv w; with w2,
-        F.factorized_reduce's two stride-2 convs w and w2 of relu(x)."""
+    def args(self):
+        """(gamma, beta, running, training): the norm arguments of F's fused nodes."""
         running = (self.running_mean, self.running_var) if self.track_running else None
-        if w2 is not None:
-            return F.factorized_reduce(x, w, w2, self.gamma, self.beta, running, self.training)
-        if relu:
-            return F.relu_conv_norm(x, w, self.gamma, self.beta, running, self.training,
-                                    stride, dilation, dw)
-        return F.conv1d_norm(x, w, self.gamma, self.beta, running, self.training, stride)
+        return self.gamma, self.beta, running, self.training
 
 
 class ReLUConvNorm(Module):
@@ -72,7 +65,7 @@ class ReLUConvNorm(Module):
         self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        return self.norm.forward(x, self.w, self.stride, relu=True)
+        return F.relu_conv_norm(x, self.w, *self.norm.args(), self.stride)
 
 
 class Zero(Module):
@@ -119,7 +112,7 @@ class FactorizedReduce(Module):
         self.norm = self.add_child(ChannelNorm(c_out, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        return self.norm.forward(x, self.w1, w2=self.w2)
+        return F.factorized_reduce(x, self.w1, self.w2, *self.norm.args())
 
 
 class SepConv(Module):
@@ -140,8 +133,8 @@ class SepConv(Module):
         self.norm2 = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm2"))
 
     def forward(self, x):
-        x = self.norm1.forward(x, self.pw1, self.stride, dw=self.dw1, relu=True)
-        return self.norm2.forward(x, self.pw2, dw=self.dw2, relu=True)
+        x = F.relu_conv_norm(x, self.pw1, *self.norm1.args(), self.stride, dw=self.dw1)
+        return F.relu_conv_norm(x, self.pw2, *self.norm2.args(), dw=self.dw2)
 
 
 class DilConv(Module):
@@ -157,7 +150,7 @@ class DilConv(Module):
         self.norm = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm"))
 
     def forward(self, x):
-        return self.norm.forward(x, self.pw, self.stride, dilation=2, dw=self.dw, relu=True)
+        return F.relu_conv_norm(x, self.pw, *self.norm.args(), self.stride, dilation=2, dw=self.dw)
 
 
 class MaxPool(Module):

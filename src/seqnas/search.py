@@ -80,13 +80,13 @@ def _derive(net, config):
     })
 
 
-def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None):
+def run_search(config: SearchRunConfig, dataset, out_dir, resume_from=None):
     """Run a search, or resume one, and return the genotype derived from the
     final alpha and beta.
 
     dataset: a WindowedDataset; only its session-1 windows participate.
-    out_dir: when given, receives config.json, log.csv, genotype.json and
-    checkpoints/last.json, rewritten at the end of every epoch.
+    out_dir: receives config.json, log.csv, checkpoints/last.json after every
+    epoch, genotype.json, and abort.json before a NumericsError propagates.
     resume_from: a search checkpoint to continue from.  Its config must parse
     and hash like `config`, and its extra.split_hash must be the search split
     of `dataset`; otherwise a ConfigError or CheckpointError is raised before
@@ -108,14 +108,11 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None)
         load_arrays(_checkpoint_arrays(net, state), doc["arrays"])
         state.load_counters(doc["counters"])
 
-    ckpt_dir = None
-    if out_dir:
-        ckpt_dir = os.path.join(out_dir, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        with atomic_write(os.path.join(out_dir, "config.json")) as fh:
-            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None, LOG_COLUMNS,
-                 first=state.step)
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
+    with atomic_write(os.path.join(out_dir, "config.json")) as fh:
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+    log = RunLog(os.path.join(out_dir, "log.csv"), LOG_COLUMNS, first=state.step)
 
     net.train(True)
     n_train, n_val = len(train_split), len(val_split)
@@ -136,19 +133,16 @@ def run_search(config: SearchRunConfig, dataset, out_dir=None, resume_from=None)
             try:
                 train_loss, val_loss = triple_step(net, tb, vb, state, lr)
             except NumericsError:
-                if out_dir:
-                    with atomic_write(os.path.join(out_dir, "abort.json")) as fh:
-                        json.dump({"epoch": epoch, "step": step_id,
-                                   "reason": "non-finite loss or gradient"}, fh)
+                with atomic_write(os.path.join(out_dir, "abort.json")) as fh:
+                    json.dump({"epoch": epoch, "step": step_id,
+                               "reason": "non-finite loss or gradient"}, fh)
                 raise
             log.append(step_id, epoch, train_loss, val_loss, lr)
 
         state.epoch = epoch + 1
-        if ckpt_dir:
-            _write_checkpoint(os.path.join(ckpt_dir, "last.json"), config, net, state, split_hash)
+        _write_checkpoint(os.path.join(ckpt_dir, "last.json"), config, net, state, split_hash)
 
     genotype = _derive(net, config)
-    if out_dir:
-        with atomic_write(os.path.join(out_dir, "genotype.json")) as fh:
-            fh.write(genotype.to_json())
+    with atomic_write(os.path.join(out_dir, "genotype.json")) as fh:
+        fh.write(genotype.to_json())
     return genotype

@@ -62,8 +62,6 @@ class RunLog:
 
     def __init__(self, path, columns, first=0):
         self.path = path
-        if not path:
-            return
         kept = []
         if first > 0 and os.path.exists(path):
             with open(path, newline="") as fh:
@@ -74,9 +72,8 @@ class RunLog:
             fh.writelines(kept)
 
     def append(self, *row):
-        if self.path:
-            with open(self.path, "a", newline="") as fh:
-                csv.writer(fh).writerow(row)
+        with open(self.path, "a", newline="") as fh:
+            csv.writer(fh).writerow(row)
 
 
 def encode_array(a):

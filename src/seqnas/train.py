@@ -40,15 +40,15 @@ def drop_path(x, p, rng):
     return F.mul(x, Tensor(np.ascontiguousarray(mask)))
 
 
-def train_final(net, dataset, config: TrainConfig, out_dir=None):
+def train_final(net, dataset, config: TrainConfig, out_dir):
     """Identification training on session-1 windows; keeps the last epoch.
 
     Drop-path ramps linearly as in DARTS: epoch e uses
     drop_path_p * e / epochs, so epoch 0 draws no mask and drop_path_p
     bounds the ramp from above.
 
-    Returns a list of per-epoch dicts (epoch, loss, accuracy, lr).  The
-    network is left, in eval mode, as the last SGD step left it, as in DARTS.
+    Returns the per-epoch rows (epoch, loss, accuracy, lr) of out_dir/log.csv
+    as dicts.  The network is left in eval mode as the last SGD step left it, as in DARTS.
     """
     session1 = dataset.session_view(1)
     if len(session1) == 0:
@@ -64,10 +64,8 @@ def train_final(net, dataset, config: TrainConfig, out_dir=None):
     net.train(True)
     n = len(session1)
 
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    log = RunLog(os.path.join(out_dir, "log.csv") if out_dir else None,
-                 ("epoch", "loss", "accuracy", "lr"))
+    os.makedirs(out_dir, exist_ok=True)
+    log = RunLog(os.path.join(out_dir, "log.csv"), ("epoch", "loss", "accuracy", "lr"))
 
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.optimizer.w_lr0)

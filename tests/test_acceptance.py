@@ -138,7 +138,7 @@ def test_criterion_1_gradient_integrity():
 # 2. mixed-operation semantics
 
 
-def test_criterion_2_mixed_op_semantics(monkeypatch):
+def test_criterion_2_mixed_op_semantics(tmp_path, monkeypatch):
     from seqnas.autograd import Tensor
     from seqnas.ops import MixedOp
 
@@ -168,7 +168,7 @@ def test_criterion_2_mixed_op_semantics(monkeypatch):
     cfg = SearchRunConfig(epochs=2, train_batch=8, val_batch=8, seed=0,
                           tier="relax", num_cells=2,
                           layout=("normal", "reduction"), init_channels=4)
-    run_search(cfg, ds)
+    run_search(cfg, ds, out_dir=str(tmp_path / "search"))
     assert worst and max(worst) < 1e-6
     report(2, f"uniform-alpha mean within 1e-6; softmax rows sum to 1 "
               f"(max |dev| {max(worst):.2e}) across a 2-epoch search")
@@ -241,7 +241,7 @@ def test_criterion_4_independent_alpha_structure():
 # 5. algorithm fidelity (zero-lr no-op; second-order oracle)
 
 
-def test_criterion_5_algorithm_fidelity():
+def test_criterion_5_algorithm_fidelity(tmp_path):
     records = synth_generate(4, sessions=2, length=320, seed=4)
     ds = make_windows(records, 64, 32)
     cfg = SearchRunConfig(epochs=1, train_batch=8, val_batch=8, seed=9,
@@ -262,7 +262,7 @@ def test_criterion_5_algorithm_fidelity():
     for k, v in before.items():
         assert np.array_equal(v, after[k]), k
 
-    genotype = run_search(cfg, ds)
+    genotype = run_search(cfg, ds, out_dir=str(tmp_path / "zero_lr"))
     init_net = Supernet(cfg.supernet_config(ds.num_classes, 2), seed=cfg.seed)
     expected = init_net.derive(meta={"seed": cfg.seed, "tier": cfg.tier,
                                      "config_hash": cfg.config_hash()})

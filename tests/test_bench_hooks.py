@@ -76,7 +76,7 @@ def test_trace_attributes_every_pass_of_a_triple_step(monkeypatch, xi, passes):
             assert parent == unrolled[0]
 
 
-def test_trace_covers_final_training_and_embedding(monkeypatch):
+def test_trace_covers_final_training_and_embedding(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(BENCH)
     import tracing
 
@@ -90,7 +90,7 @@ def test_trace_covers_final_training_and_embedding(monkeypatch):
     config = train.TrainConfig(epochs=2, batch=8, drop_path_p=0.5)
     tracer = tracing.Tracer()
     with tracer.installed():
-        train.train_final(net, ds, config)
+        train.train_final(net, ds, config, str(tmp_path))
         metrics.embed(net, ds.windows, 8)
 
     names = {s[0] for s in tracer.spans}

@@ -218,3 +218,45 @@ def test_saturated_search_cell_equals_discrete_cell_with_its_weights():
         fresh = DiscreteCell(genotype.cells[0], 3, 3, 3, False, r, np.float64)
         assert not np.allclose(fresh.forward(s0, s1).data, soft.data, atol=1e-2)
         reset_tape()
+
+
+def test_drop_path_skips_every_skip_connect_edge_of_a_reduction_cell():
+    """The edge regularizer receives every kept edge's output except a
+    skip_connect's: the stride-1 Identity and also the stride-2
+    FactorizedReduce, where DARTS exempts only the identity."""
+    entry = CellGenotype("reduction", [
+        [("skip_connect", 0), ("sep_conv_3", 1)],
+        [("skip_connect", 2), ("max_pool_3", 0)],
+        [("dil_conv_3", 3), ("skip_connect", 1)],
+        [("avg_pool_3", 4), ("sep_conv_5", 2)],
+    ])
+    with using_dtype(np.float64):
+        r = np.random.default_rng(3)
+        cell = DiscreteCell(entry, 3, 3, 4, False, r, np.float64)
+        produced = []  # ((op name, from-node, op class), output) per edge forward
+        for inputs in cell.node_inputs:
+            for frm, (op_name, op) in inputs:
+                def spy(x, key=(op_name, frm, type(op).__name__), forward=op.forward):
+                    out = forward(x)
+                    produced.append((key, out))
+                    return out
+                op.forward = spy
+        seen = []
+
+        def regularizer(t):
+            seen.append(next(key for key, out in produced if out is t))
+            return t
+
+        s0 = Tensor(r.standard_normal((2, 3, 8)))
+        s1 = Tensor(r.standard_normal((2, 3, 8)))
+        cell.forward(s0, s1, edge_regularizer=regularizer)
+        reset_tape()
+
+    assert sorted(key for key, _ in produced if key[0] == "skip_connect") == [
+        ("skip_connect", 0, "FactorizedReduce"),
+        ("skip_connect", 1, "FactorizedReduce"),
+        ("skip_connect", 2, "Identity"),
+    ]
+    assert seen == [("sep_conv_3", 1, "SepConv"), ("max_pool_3", 0, "MaxPool"),
+                    ("dil_conv_3", 3, "DilConv"), ("avg_pool_3", 4, "AvgPool"),
+                    ("sep_conv_5", 2, "SepConv")]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -547,3 +549,37 @@ def test_manifest_names_each_segment_too_short_for_a_window(tmp_path):
                     "--epochs", "0", "--out", synthetic]) == 0
     desc = json.loads((synthetic / "manifest.json").read_text())["config"]["data"]
     assert desc["dropped_segments"] == []
+
+
+def _weights_args(tmp_path):
+    train = tmp_path / "trained"
+    assert run_cli(["train", *MICRO_DATA, *MICRO_NET, "--genotype", _hand_genotype(tmp_path),
+                    "--epochs", "0", "--out", train]) == 0
+    return ["eval", *MICRO_DATA, "--weights", train / "weights.json"]
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("command", [
+    lambda tmp_path: ["search", *MICRO_DATA, *MICRO_NET, "--epochs", "1"],
+    lambda tmp_path: ["train", *MICRO_DATA, *MICRO_NET, "--epochs", "1",
+                      "--genotype", _hand_genotype(tmp_path)],
+    _weights_args,
+    lambda tmp_path: ["ablate", *MICRO_DATA, *MICRO_NET, "--search-epochs", "1",
+                      "--train-epochs", "1"],
+], ids=["search", "train", "eval", "ablate"])
+def test_unwritable_out_is_data_error(tmp_path, command, where):
+    """An --out that is a regular file, or lies under one, exits 3 naming the
+    directory, with no traceback and the file untouched."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "sub"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqnas.cli", *map(str, command(tmp_path)), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("data error: cannot write run directory " + str(out))
+    assert "Traceback" not in proc.stderr
+    assert blocker.read_text() == "not a directory\n"

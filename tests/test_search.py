@@ -62,10 +62,17 @@ def interrupt(monkeypatch, config, dataset, out_dir, epoch):
             run_search(config, dataset, out_dir=out_dir)
 
 
-def test_zero_lr_search_returns_init_genotype():
+def fresh_dir(tmp_path):
+    """An empty directory under tmp_path, for a run that must write nothing."""
+    path = tmp_path / "fresh"
+    path.mkdir()
+    return path
+
+
+def test_zero_lr_search_returns_init_genotype(tmp_path):
     ds = micro_dataset()
     cfg = micro_config(epochs=1, optimizer=OptimizerConfig(w_lr0=0.0, arch_lr=0.0))
-    genotype = run_search(cfg, ds)
+    genotype = run_search(cfg, ds, out_dir=str(tmp_path))
 
     from seqnas.network import Supernet
     net = Supernet(cfg.supernet_config(ds.num_classes, 2), seed=cfg.seed)
@@ -91,11 +98,11 @@ def test_search_is_seed_deterministic(tmp_path):
     assert ga == gb
 
 
-def test_darts_tier_shares_alpha_across_normal_cells():
+def test_darts_tier_shares_alpha_across_normal_cells(tmp_path):
     ds = micro_dataset()
     cfg = micro_config(epochs=1, tier="darts", num_cells=4,
                        layout=("normal", "reduction", "normal", "reduction"))
-    g = run_search(cfg, ds)
+    g = run_search(cfg, ds, out_dir=str(tmp_path))
     normal = [c.nodes for c in g.cells if c.kind == "normal"]
     assert normal[0] == normal[1]
     reductions = [c.nodes for c in g.cells if c.kind == "reduction"]
@@ -208,7 +215,7 @@ def test_resume_from_final_checkpoint_returns_immediately(tmp_path, monkeypatch)
         calls["n"] += 1
 
     around_each_step(monkeypatch, after=counter)
-    g2 = run_search(cfg, ds, resume_from=ckpt)
+    g2 = run_search(cfg, ds, out_dir=str(tmp_path / "again"), resume_from=ckpt)
     assert calls["n"] == 0
     assert g2.to_json() == g.to_json()
 
@@ -221,7 +228,8 @@ def test_resume_decodes_the_checkpoint_once(tmp_path, monkeypatch):
     load = S.load_checkpoint
     monkeypatch.setattr(S, "load_checkpoint",
                         lambda *a, **k: calls.append(a) or load(*a, **k))
-    run_search(micro_config(epochs=2), ds, resume_from=str(out / "checkpoints" / "last.json"))
+    run_search(micro_config(epochs=2), ds, out_dir=str(tmp_path / "again"),
+               resume_from=str(out / "checkpoints" / "last.json"))
     assert len(calls) == 1
 
 
@@ -250,8 +258,10 @@ def test_resume_checks_every_array_before_loading_any(tmp_path, monkeypatch, dam
         return state
 
     monkeypatch.setattr(S, "make_triple_state", capture)
+    fresh = fresh_dir(tmp_path)
     with pytest.raises(CheckpointError, match="mismatch"):
-        run_search(micro_config(epochs=1), ds, resume_from=str(ckpt))
+        run_search(micro_config(epochs=1), ds, out_dir=str(fresh), resume_from=str(ckpt))
+    assert os.listdir(fresh) == []
     assert live
     for k, v in live.items():
         assert np.array_equal(v, before[k]), k
@@ -298,8 +308,10 @@ def test_resume_names_a_missing_or_bad_checkpoint_field(tmp_path, damage, named)
     doc = json.loads(ckpt.read_text())
     damage(doc)
     ckpt.write_text(json.dumps(doc))
+    fresh = fresh_dir(tmp_path)
     with pytest.raises(CheckpointError, match=f"checkpoint {named} must be"):
-        run_search(micro_config(epochs=1), ds, resume_from=str(ckpt))
+        run_search(micro_config(epochs=1), ds, out_dir=str(fresh), resume_from=str(ckpt))
+    assert os.listdir(fresh) == []
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
@@ -325,8 +337,10 @@ def test_resume_rejects_config_mismatch(tmp_path):
     run_search(micro_config(epochs=2, seed=1), ds, out_dir=out)
     ckpt = os.path.join(out, "checkpoints", "last.json")
     other = micro_config(epochs=3, seed=1)
+    fresh = fresh_dir(tmp_path)
     with pytest.raises(CheckpointError, match="different search config"):
-        run_search(other, ds, resume_from=ckpt)
+        run_search(other, ds, out_dir=str(fresh), resume_from=ckpt)
+    assert os.listdir(fresh) == []
 
 
 def test_checkpoint_config_is_checked_on_resume(tmp_path):
@@ -339,8 +353,10 @@ def test_checkpoint_config_is_checked_on_resume(tmp_path):
     doc = json.loads(ckpt.read_text())
     doc["config"]["optimizer"]["x1"] = 0.01
     ckpt.write_text(json.dumps(doc))
+    fresh = fresh_dir(tmp_path)
     with pytest.raises(ConfigError, match="unknown key 'config.optimizer.x1'"):
-        run_search(micro_config(epochs=1), ds, resume_from=str(ckpt))
+        run_search(micro_config(epochs=1), ds, out_dir=str(fresh), resume_from=str(ckpt))
+    assert os.listdir(fresh) == []
 
 
 def test_nan_loss_aborts_with_checkpoint(tmp_path, monkeypatch):
@@ -360,7 +376,7 @@ def test_nan_loss_aborts_with_checkpoint(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(out, "checkpoints", "last.json"))
 
 
-def test_softmax_rows_sum_to_one_throughout_search(monkeypatch):
+def test_softmax_rows_sum_to_one_throughout_search(tmp_path, monkeypatch):
     ds = micro_dataset()
     cfg = micro_config(epochs=2)
     sums = []
@@ -372,7 +388,7 @@ def test_softmax_rows_sum_to_one_throughout_search(monkeypatch):
             sums.append(float(np.abs((e / e.sum(axis=1, keepdims=True)).sum(axis=1) - 1).max()))
 
     around_each_step(monkeypatch, after=watch)
-    run_search(cfg, ds)
+    run_search(cfg, ds, out_dir=str(tmp_path))
     assert sums and max(sums) < 1e-6
 
 

@@ -52,10 +52,10 @@ def _tiny_setup(num_subjects=4, epochs=3, drop_path_p=0.3, seed=0, lr=0.02):
     return net, g, ds, tcfg
 
 
-def test_zero_lr_training_keeps_initial_weights():
+def test_zero_lr_training_keeps_initial_weights(tmp_path):
     net, _, ds, tcfg = _tiny_setup(epochs=2, lr=0.0)
     before = {k: v.copy() for k, v in net.state_arrays().items()}
-    train_final(net, ds, tcfg)
+    train_final(net, ds, tcfg, str(tmp_path))
     after = net.state_arrays()
     for k, v in before.items():
         if k.endswith("running_mean") or k.endswith("running_var"):
@@ -63,32 +63,32 @@ def test_zero_lr_training_keeps_initial_weights():
         assert np.array_equal(v, after[k]), k
 
 
-def test_history_rows_and_finite_losses():
+def test_history_rows_and_finite_losses(tmp_path):
     net, _, ds, tcfg = _tiny_setup(epochs=3)
-    history = train_final(net, ds, tcfg)
+    history = train_final(net, ds, tcfg, str(tmp_path))
     assert len(history) == 3
     assert all(np.isfinite(row["loss"]) for row in history)
     assert history[0]["lr"] == tcfg.optimizer.w_lr0
 
 
-def test_class_count_mismatch_rejected():
+def test_class_count_mismatch_rejected(tmp_path):
     net, _, ds, tcfg = _tiny_setup()
     wrong = make_windows(synth_generate(6, sessions=2, length=320, seed=1), 64, 32)
     with pytest.raises(DataError, match="classes"):
-        train_final(net, wrong, tcfg)
+        train_final(net, wrong, tcfg, str(tmp_path))
 
 
-def test_heavy_drop_path_degrades_training_accuracy():
+def test_heavy_drop_path_degrades_training_accuracy(tmp_path):
     net_a, _, ds, cfg_a = _tiny_setup(epochs=8, drop_path_p=0.3, lr=0.05)
-    hist_a = train_final(net_a, ds, cfg_a)
+    hist_a = train_final(net_a, ds, cfg_a, str(tmp_path / "a"))
     net_b, _, _, cfg_b = _tiny_setup(epochs=8, drop_path_p=0.95, lr=0.05)
     cfg_b = TrainConfig(epochs=8, batch=16, drop_path_p=0.95, seed=0,
                         optimizer=OptimizerConfig(w_lr0=0.05))
-    hist_b = train_final(net_b, ds, cfg_b)
+    hist_b = train_final(net_b, ds, cfg_b, str(tmp_path / "b"))
     assert max(r["accuracy"] for r in hist_a) > max(r["accuracy"] for r in hist_b)
 
 
-def test_training_ramps_drop_path_per_epoch(monkeypatch):
+def test_training_ramps_drop_path_per_epoch(tmp_path, monkeypatch):
     net, _, ds, tcfg = _tiny_setup(epochs=4, drop_path_p=0.3)
     calls = []
 
@@ -97,13 +97,13 @@ def test_training_ramps_drop_path_per_epoch(monkeypatch):
         return drop_path(x, p, rng)
 
     monkeypatch.setattr(T, "drop_path", spy)
-    train_final(net, ds, tcfg)
+    train_final(net, ds, tcfg, str(tmp_path))
     # epoch e uses drop_path_p * e / epochs: drop_path_p is never exceeded, and
     # epoch 0 (p = 0) draws no drop-path mask at all
     assert list(dict.fromkeys(calls)) == pytest.approx([0.075, 0.15, 0.225])
 
 
-def test_trained_network_is_the_last_sgd_step(monkeypatch):
+def test_trained_network_is_the_last_sgd_step(tmp_path, monkeypatch):
     """The trained weights are the last step's, even where training accuracy
     under the drop-path ramp peaks at an earlier epoch."""
     net, _, ds, tcfg = _tiny_setup(epochs=8, drop_path_p=0.95, lr=0.05)
@@ -115,7 +115,7 @@ def test_trained_network_is_the_last_sgd_step(monkeypatch):
             after_step.update({p.name: p.data.copy() for p in self.params})
 
     monkeypatch.setattr(T, "SGD", RecordingSGD)
-    accuracy = [row["accuracy"] for row in train_final(net, ds, tcfg)]
+    accuracy = [row["accuracy"] for row in train_final(net, ds, tcfg, str(tmp_path))]
     assert max(accuracy) > accuracy[-1], accuracy
     params = net.parameters()
     assert sorted(after_step) == sorted(p.name for p in params)
@@ -123,9 +123,9 @@ def test_trained_network_is_the_last_sgd_step(monkeypatch):
         assert np.array_equal(p.data, after_step[p.name]), p.name
 
 
-def test_eval_mode_forward_is_deterministic_after_training():
+def test_eval_mode_forward_is_deterministic_after_training(tmp_path):
     net, _, ds, tcfg = _tiny_setup(epochs=2)
-    train_final(net, ds, tcfg)
+    train_final(net, ds, tcfg, str(tmp_path))
     x = ds.windows[:8].astype(np.float32)
     a = net.forward(Tensor(x))
     reset_tape()
@@ -136,7 +136,7 @@ def test_eval_mode_forward_is_deterministic_after_training():
 
 def test_trained_checkpoint_roundtrip(tmp_path):
     net, g, ds, tcfg = _tiny_setup(epochs=2)
-    history = train_final(net, ds, tcfg)
+    history = train_final(net, ds, tcfg, str(tmp_path))
     path = tmp_path / "weights.json"
     save_trained(path, net, g, tcfg, history)
     net2, g2, doc = load_trained(path)
