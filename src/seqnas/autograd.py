@@ -52,9 +52,12 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    """Dense array plus an optional gradient buffer of identical shape."""
+    """Dense array plus an optional gradient buffer of identical shape.
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "tape_id", "pools")
+    A recorded tensor with a remake (see record) may be released once its
+    forward readers are done; a pullback that reads it calls value()."""
+
+    __slots__ = ("data", "requires_grad", "grad", "name", "tape_id", "pools", "remake")
 
     def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
@@ -70,6 +73,7 @@ class Tensor:
         self.name = name
         self.tape_id = None
         self.pools = None  # functional._pool's read-only outputs, shared per input
+        self.remake = None
 
     @property
     def shape(self):
@@ -86,6 +90,15 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    def release(self):
+        """Swap data, if there is a remake, for a zero-byte read-only NaN stand-in."""
+        if self.remake is not None:
+            self.data = np.broadcast_to(np.array(np.nan, self.data.dtype), self.data.shape)
+
+    def value(self):
+        """data, remade if released (a released tensor's data is read-only)."""
+        return self.remake() if self.remake and not self.data.flags.writeable else self.data
 
     def zero_grad(self):
         self.grad = None
@@ -205,9 +218,10 @@ def no_grad():
         _grad_enabled = prev
 
 
-def record(op, inputs, out, backward_fn):
+def record(op, inputs, out, backward_fn, remake=None):
     """Record a primitive if grad mode is on and any input requires grad;
     backward_fn(g) returns one gradient or None per input, in inputs order.
+    A recorded out gets remake, which recomputes its data bitwise.
 
     A consumed tape is replaced transparently: the first recording after a
     backward pass starts a fresh record, and losses from the old record
@@ -219,5 +233,6 @@ def record(op, inputs, out, backward_fn):
         reset_tape()
     out.requires_grad = True
     out.tape_id = _tape.id
+    out.remake = remake
     _tape.nodes.append(Node(op, inputs, out, backward_fn))
     return out

@@ -10,16 +10,20 @@ gradient; a single-input primitive records a node only when its input
 requires one, so its pullback never checks.
 
 The tape holds each activation once.  A pullback keeps only its inputs'
-data, its output's data (or views of them) and per-channel vectors; the
-one exception is the normalised input xhat of the norm nodes.  A conv
-feeding a norm is one node that normalises the conv output in place, since
-neither pullback reads it, so xhat is kept instead of beside it:
-conv1d_norm; relu_conv_norm for relu -> (depthwise ->) conv -> norm; and
-factorized_reduce for relu -> two offset stride-2 pointwise convs -> concat
--> norm.  The last two rebuild relu(x), and relu_conv_norm its depthwise
-output, from x.data only when a weight gradient reads them.  Convolutions and pools rebuild
-padded or unfolded inputs from x.data when they pull back, and _untap adds
-their gradients straight into a new unpadded array.  Activations are never
+data, its output's data (or views of them, or their zero-byte stand-ins
+once released) and per-channel vectors; the one exception is the
+normalised input xhat of the norm nodes.  A conv feeding a norm is one node
+that normalises the conv output in place, since neither pullback reads it,
+so xhat is kept instead of beside it: conv1d_norm; relu_conv_norm for
+relu -> (depthwise ->) conv -> norm; and factorized_reduce for relu -> two
+offset stride-2 pointwise convs -> concat -> norm.  The last two rebuild
+relu(x), and relu_conv_norm its depthwise output, from x's values only
+when a weight gradient reads them.  Their recorded output carries a remake
+from xhat, so a caller may release it (Tensor.release) if only these three
+and weighted_sum read it later: their pullbacks remake an input's values
+(Tensor.value) at most once each.  Convolutions and pools rebuild padded or
+unfolded inputs from x.data when they pull back, and _untap adds their
+gradients straight into a new unpadded array.  Activations are never
 written in place, so the max (or avg) pools of one kernel and stride on one
 activation of the current tape share one read-only output buffer, while
 each call records its own node.  Convolutions and pools use "same-length"
@@ -143,15 +147,16 @@ def weighted_sum(xs, w):
     for t in xs[1:]:
         _shape_check(t.shape == base, "weighted_sum", f"{t.shape} vs {base}")
     acc = w.data[0] * xs[0].data
+    prod = np.empty_like(acc)
     for i in range(1, len(xs)):
-        acc = acc + w.data[i] * xs[i].data
+        acc += np.multiply(w.data[i], xs[i].data, out=prod)
     out = Tensor(acc)
 
     def backward_fn(g):
         gw = None
         if w.requires_grad:
             gr = g.ravel()
-            gw = np.array([np.dot(gr, t.data.ravel()) for t in xs], dtype=w.data.dtype)
+            gw = np.array([np.dot(gr, t.value().ravel()) for t in xs], dtype=w.data.dtype)
         return [g * w.data[i] if t.requires_grad else None for i, t in enumerate(xs)] + [gw]
 
     return record("weighted_sum", (*xs, w), out, backward_fn)
@@ -294,9 +299,10 @@ def _depthwise(taps, w):
 
 def _depthwise_conv1d(op, x, w, stride, dilation, relu=False):
     """depthwise_conv1d's forward on x, or on relu(x) if relu: (output array,
-    taps, pullback).  taps() rebuilds the tap views of the padded input from
-    x.data.  The pullback maps (g, taps()) to (dx, gw), with taps() read only
-    for gw; dx, None unless x requires one, is taken before any relu mask."""
+    taps, pullback).  taps(xd) rebuilds the tap views of the padded input from
+    xd, x's values.  The pullback maps (g, taps(xd)) to (dx, gw), with the taps
+    read only for gw; dx, None unless x requires one, is taken before any relu
+    mask."""
     _shape_check(x.ndim == 3, op, f"input must be (B,C,T), got {x.shape}")
     _shape_check(w.ndim == 2, op, f"weight must be (C,k), got {w.shape}")
     B, C, T = x.shape
@@ -304,8 +310,8 @@ def _depthwise_conv1d(op, x, w, stride, dilation, relu=False):
     _shape_check(cw == C, op, f"weight has {cw} channels, input {C}")
     pad, t_out = _conv_geometry(op, T, k, stride, dilation)
 
-    def taps():
-        return _taps(x.data, pad, k, stride, dilation, t_out, relu=relu)
+    def taps(xd):
+        return _taps(xd, pad, k, stride, dilation, t_out, relu=relu)
 
     def backward_fn(g, taps):
         gw = dx = None
@@ -317,7 +323,7 @@ def _depthwise_conv1d(op, x, w, stride, dilation, relu=False):
                                  for j in range(k)), stride, dilation, t_out)
         return dx, gw
 
-    return _depthwise(taps(), w.data), taps, backward_fn
+    return _depthwise(taps(x.data), w.data), taps, backward_fn
 
 
 def depthwise_conv1d(x, w, stride=1, dilation=1):
@@ -325,7 +331,7 @@ def depthwise_conv1d(x, w, stride=1, dilation=1):
     x, w = _tensor(x), _tensor(w)
     y, taps, backward_fn = _depthwise_conv1d("depthwise_conv1d", x, w, stride, dilation)
     return record("depthwise_conv1d", (x, w), Tensor(y),
-                  lambda g: backward_fn(g, taps() if w.requires_grad else None))
+                  lambda g: backward_fn(g, taps(x.data) if w.requires_grad else None))
 
 
 def _pool(op, x, kernel, stride, pool):
@@ -424,8 +430,9 @@ NORM_MOMENTUM = 0.1  # running <- (1 - momentum) * running + momentum * batch
 
 def _channel_norm(op, x, need_dx, gamma, beta, running, training, out=None):
     """channel_norm's forward on the array x: (output array, pullback of g to
-    (dx, dgamma, dbeta)), with dx None unless need_dx.  The normalised input
-    xhat is written into out, which may be x itself, or into a new array."""
+    (dx, dgamma, dbeta), remake), with dx None unless need_dx.  The normalised
+    input xhat is written into out, which may be x itself, or into a new array.
+    remake() recomputes the output bitwise from xhat, gamma and beta."""
     _shape_check(x.ndim == 3, op, f"input must be (B,C,T), got {x.shape}")
     B, C, T = x.shape
     _shape_check(gamma.shape == (C,), op, f"gamma {gamma.shape} vs C={C}")
@@ -466,7 +473,10 @@ def _channel_norm(op, x, need_dx, gamma, beta, running, training, out=None):
                 dx = np.multiply(gs, inv_std[None, :, None], out=gs)
         return dx, dgamma, dbeta
 
-    return gamma.data[None, :, None] * xhat + beta.data[None, :, None], backward_fn
+    def remake():
+        return gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+
+    return remake(), backward_fn, remake
 
 
 def channel_norm(x, gamma, beta, running=None, training=True):
@@ -478,8 +488,8 @@ def channel_norm(x, gamma, beta, running=None, training=True):
     it is used as constants instead of the batch (final-network evaluation).
     """
     x, gamma, beta = _tensor(x), _tensor(gamma), _tensor(beta)
-    y, backward_fn = _channel_norm("channel_norm", x.data, x.requires_grad,
-                                   gamma, beta, running, training)
+    y, backward_fn, _ = _channel_norm("channel_norm", x.data, x.requires_grad,
+                                      gamma, beta, running, training)
     return record("channel_norm", (x, gamma, beta), Tensor(y), backward_fn)
 
 
@@ -488,15 +498,16 @@ def _conv_norm(op, x, w, gamma, beta, running, training, stride, dilation, dw, r
     where u is x, or relu(x) if relu, then depthwise_conv1d(u, dw, stride,
     dilation) if dw is given.  The pullback keeps only xhat (the conv output,
     normalised in place); relu(x) and the depthwise output are rebuilt from
-    x.data, by the forward's own expressions, only for a weight gradient."""
+    x's values, by the forward's own expressions, only for a weight gradient.
+    The output carries the norm's remake."""
     x, w, gamma, beta = _tensor(x), _tensor(w), _tensor(gamma), _tensor(beta)
     if dw is None:
         inputs = (x, w, gamma, beta)
         y, dense_backward = _conv1d(op, np.maximum(x.data, 0) if relu else x.data,
                                     w, stride, dilation)
 
-        def conv_backward(dy):  # (dx, gw)
-            u = np.maximum(x.data, 0) if relu and w.requires_grad else x.data
+        def conv_backward(dy, xd):  # (dx, gw)
+            u = np.maximum(xd, 0) if relu and w.requires_grad else xd
             return dense_backward(dy, u, x.requires_grad)
     else:
         dw = _tensor(dw)
@@ -508,23 +519,24 @@ def _conv_norm(op, x, w, gamma, beta, running, training, stride, dilation, dw, r
         y, dense_backward = _conv1d(op, d, w, 1, 1)
         del d
 
-        def conv_backward(dy):  # (dx, gdw, gw)
-            t = taps() if w.requires_grad or dw.requires_grad else None
+        def conv_backward(dy, xd):  # (dx, gdw, gw)
+            t = taps(xd) if w.requires_grad or dw.requires_grad else None
             du, gw = dense_backward(dy, _depthwise(t, dw.data) if w.requires_grad else None,
                                     x.requires_grad or dw.requires_grad)
             return (*dw_backward(du, t), gw)
 
-    out, norm_backward = _channel_norm(op, y, any(t.requires_grad for t in inputs[:-2]),
-                                       gamma, beta, running, training, out=y)
+    out, norm_backward, remake = _channel_norm(
+        op, y, any(t.requires_grad for t in inputs[:-2]), gamma, beta, running, training, out=y)
 
     def backward_fn(g):
         dy, dgamma, dbeta = norm_backward(g)  # dy is None only if x, dw and w need none
-        dx, *grads = conv_backward(dy)
+        xd = x.value() if dy is not None else None  # at most one remake
+        dx, *grads = conv_backward(dy, xd)
         if relu and dx is not None:
-            dx *= x.data > 0  # dx is a new array
+            dx *= xd > 0  # dx is a new array
         return (dx, *grads, dgamma, dbeta)
 
-    return record(op, inputs, Tensor(out), backward_fn)
+    return record(op, inputs, Tensor(out), backward_fn, remake)
 
 
 def conv1d_norm(x, w, gamma, beta, running=None, training=True, stride=1):
@@ -547,7 +559,8 @@ def factorized_reduce(x, w1, w2, gamma, beta, running=None, training=True):
     """channel_norm(concat([conv1d(u, w1, 2), conv1d(shift_time(u), w2, 2)]),
     gamma, beta, running, training) with u = relu(x), as one node.  The
     pullback keeps only xhat (the concatenated conv outputs, normalised in
-    place); relu(x) is rebuilt from x.data only for a weight gradient."""
+    place); relu(x) is rebuilt from x's values only for a weight gradient.
+    The output carries the norm's remake."""
     op = "factorized_reduce"
     x, w1, w2, gamma, beta = (_tensor(t) for t in (x, w1, w2, gamma, beta))
     inputs = (x, w1, w2, gamma, beta)
@@ -557,24 +570,25 @@ def factorized_reduce(x, w1, w2, gamma, beta, running=None, training=True):
     half = a.shape[1]
     y = np.concatenate([a, b], axis=1)
     del u, a, b
-    out, norm_backward = _channel_norm(op, y, any(t.requires_grad for t in inputs[:3]),
-                                       gamma, beta, running, training, out=y)
+    out, norm_backward, remake = _channel_norm(
+        op, y, any(t.requires_grad for t in inputs[:3]), gamma, beta, running, training, out=y)
 
     def backward_fn(g):
         dy, dgamma, dbeta = norm_backward(g)  # dy is None only if x, w1 and w2 need none
         dx = gw1 = gw2 = None
         if dy is not None:
-            u = np.maximum(x.data, 0) if w1.requires_grad or w2.requires_grad else x.data
+            xd = x.value()  # at most one remake
+            u = np.maximum(xd, 0) if w1.requires_grad or w2.requires_grad else xd
             du2, gw2 = back2(dy[:, half:], _shift_time(u) if w2.requires_grad else u,
                              x.requires_grad)
             du1, gw1 = back1(dy[:, :half], u, x.requires_grad)
             if x.requires_grad:  # the chain's order: unshift, add, relu mask
                 dx = _unshift_time(du2)
                 dx += du1
-                dx *= x.data > 0
+                dx *= xd > 0
         return dx, gw1, gw2, dgamma, dbeta
 
-    return record(op, inputs, Tensor(out), backward_fn)
+    return record(op, inputs, Tensor(out), backward_fn, remake)
 
 
 def global_avg_pool(x):

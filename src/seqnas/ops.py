@@ -116,7 +116,8 @@ class FactorizedReduce(Module):
 
 
 class SepConv(Module):
-    """Depthwise separable conv applied twice (second pass stride 1)."""
+    """Depthwise separable conv applied twice (second pass stride 1); the
+    inner output is released, as only the second unit's pullback reads it."""
 
     def __init__(self, channels, kernel, stride, rng, dtype, name=""):
         super().__init__()
@@ -133,8 +134,10 @@ class SepConv(Module):
         self.norm2 = self.add_child(ChannelNorm(channels, dtype, f"{name}.norm2"))
 
     def forward(self, x):
-        x = F.relu_conv_norm(x, self.pw1, *self.norm1.args(), self.stride, dw=self.dw1)
-        return F.relu_conv_norm(x, self.pw2, *self.norm2.args(), dw=self.dw2)
+        h = F.relu_conv_norm(x, self.pw1, *self.norm1.args(), self.stride, dw=self.dw1)
+        y = F.relu_conv_norm(h, self.pw2, *self.norm2.args(), dw=self.dw2)
+        h.release()
+        return y
 
 
 class DilConv(Module):
@@ -214,7 +217,9 @@ class MixedOp(Module):
 
 
 def mixed_forward(m, x, alpha_row):
-    """Relaxed categorical choice: sum_o softmax(alpha)_o * o(x); alpha_row is a Tensor."""
+    """Relaxed categorical choice: sum_o softmax(alpha)_o * o(x); alpha_row is a Tensor.
+    Each candidate output but Identity's (x) is released after the sum, which
+    alone reads it again."""
     raw = alpha_row.data
     if raw.shape != (len(OP_VOCAB),):
         raise ValueError(
@@ -224,4 +229,8 @@ def mixed_forward(m, x, alpha_row):
         raise FloatingPointError("NaN/inf in architecture weights: search state is poisoned")
     weights = F.softmax(alpha_row, axis=-1)
     outs = [op.forward(x) for op in m.candidates]
-    return F.weighted_sum(outs, weights)
+    out = F.weighted_sum(outs, weights)
+    for o in outs:
+        if o is not x:
+            o.release()
+    return out

@@ -821,3 +821,95 @@ def test_factorized_reduce_shape_errors_name_the_op():
         F.factorized_reduce(x, w, Tensor(np.zeros((2, 5, 1))), ones, ones)
     with pytest.raises(ShapeError, match="factorized_reduce: gamma"):
         F.factorized_reduce(x, w, w, Tensor(np.ones(3)), ones)
+
+
+FUSED_NORM_NODES = {  # weight shapes, call(x, weights, gamma, beta, running, training)
+    "conv1d_norm": (((6, 4, 3),), lambda x, ws, *norm: F.conv1d_norm(x, *ws, *norm, 2)),
+    "relu_conv_norm": (((6, 4, 3),),
+                       lambda x, ws, *norm: F.relu_conv_norm(x, *ws, *norm, 1, 2)),
+    "relu_conv_norm_dw": (((6, 4, 1), (4, 5)),
+                          lambda x, ws, *norm: F.relu_conv_norm(x, ws[0], *norm, 2, 2, ws[1])),
+    "factorized_reduce": (((3, 4, 1), (3, 4, 1)),
+                          lambda x, ws, *norm: F.factorized_reduce(x, *ws, *norm)),
+}
+
+
+def _fused_norm_output(node, mode, dtype):
+    shapes, call = FUSED_NORM_NODES[node]
+    keep, training = NORM_MODES[mode]
+    running = (np.linspace(-0.3, 0.2, 6).astype(dtype),
+               np.linspace(0.5, 2.0, 6).astype(dtype)) if keep else None
+    x = parameter(rng.standard_normal((3, 4, 13)).astype(dtype))
+    ws = [parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
+    gamma = parameter((1.0 + 0.1 * rng.standard_normal(6)).astype(dtype))
+    beta = parameter((0.1 * rng.standard_normal(6)).astype(dtype))
+    return call(x, ws, gamma, beta, running, training)
+
+
+def _base(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("mode", sorted(NORM_MODES))
+@pytest.mark.parametrize("node", sorted(FUSED_NORM_NODES))
+def test_fused_norm_remake_is_bitwise_the_forward_output(node, mode, dtype):
+    reset_tape()
+    out = _fused_norm_output(node, mode, dtype)
+    forward = out.data
+    assert out.dtype == dtype and out.remake().tobytes() == forward.tobytes()
+    out.release()
+    assert out.value().tobytes() == forward.tobytes()
+
+
+def test_released_tensor_owns_no_memory_reads_nan_and_is_read_only():
+    reset_tape()
+    out = _fused_norm_output("relu_conv_norm_dw", "batch", np.float32)
+    shape, dtype = out.shape, out.dtype
+    assert out.value() is out.data  # not yet released
+    out.release()
+    assert out.shape == shape and out.dtype == dtype
+    assert _base(out.data).nbytes <= out.data.itemsize
+    assert np.isnan(out.data).all() and not out.data.flags.writeable
+    with pytest.raises(ValueError):
+        out.data[0, 0, 0] = 1.0
+
+
+def test_tensor_without_a_remake_is_never_released():
+    x = parameter(rng.standard_normal((2, 4, 8)))
+    w, gamma, beta = (parameter(a) for a in (rng.standard_normal((4, 4, 1)), np.ones(4),
+                                             np.zeros(4)))
+    with no_grad():  # nothing recorded, so no remake either
+        out = F.relu_conv_norm(x, w, gamma, beta)
+    pool = F.max_pool1d(x)
+    for t in (x, out, pool):
+        data = t.data
+        t.release()
+        assert t.remake is None and t.data is data and t.value() is data
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_pullbacks_that_read_a_released_input_are_bitwise_the_unreleased(dtype):
+    """The readers a release reaches: relu_conv_norm (tap rebuild, relu mask),
+    factorized_reduce (relu rebuild, mask) and weighted_sum's weight gradient."""
+    arrays = [rng.standard_normal(s).astype(dtype) for s in
+              ((3, 4, 13), (4, 4, 3), (4, 4, 1), (4, 3), (2, 4, 1), (2, 4, 1), (3,))]
+
+    def run(release):
+        reset_tape()
+        x, w0, w, dw, w1, w2, a = (parameter(arr) for arr in arrays)
+        gamma, beta = parameter(np.ones(4, dtype)), parameter(np.zeros(4, dtype))
+        h = F.relu_conv_norm(x, w0, gamma, beta)
+        outs = [F.relu_conv_norm(h, w, gamma, beta, dw=dw),
+                F.relu_conv_norm(h, w, gamma, beta, dilation=2, dw=dw), h]
+        y = F.weighted_sum(outs, F.softmax(a))
+        z = F.factorized_reduce(h, w1, w2, gamma, beta)
+        if release:
+            h.release()
+        weights = Tensor(np.linspace(-1.0, 1.0, y.size).reshape(y.shape).astype(dtype))
+        backward(F.add(F.sum_all(F.mul(y, weights)), F.sum_all(F.mul(z, z))))
+        return [t.grad.tobytes() for t in (x, w0, w, dw, w1, w2, a, gamma, beta)]
+
+    assert run(True) == run(False)

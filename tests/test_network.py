@@ -342,12 +342,22 @@ def _is_or_views(a, allowed):
     return False
 
 
+def _released(t):
+    """t's data is the zero-byte read-only NaN stand-in of Tensor.release."""
+    return (t.remake is not None and not t.data.flags.writeable
+            and not any(t.data.strides) and np.isnan(t.data).all())
+
+
 def test_tape_keeps_each_activation_once(monkeypatch):
     """After a grad-mode supernet forward, a pullback keeps nothing bigger than
     a per-channel vector beyond its node's input and output data (the normalised
     input xhat of the norm nodes excepted), no conv1d output feeds a
     channel_norm, no depthwise_conv1d is recorded, each FactorizedReduce records
-    one node, and pools of one input with one op and stride share one buffer."""
+    one node, and pools of one input with one op and stride share one buffer.
+    Every MixedOp candidate output but Identity's, the pools' and none's is
+    released, as is every SepConv inner output, so of the norm nodes' outputs
+    only the cell states (the stem's and the preprocessed inputs) hold data,
+    beside the xhat each norm node keeps."""
     fr_ops = []
     fr_forward = FactorizedReduce.forward
 
@@ -394,6 +404,26 @@ def test_tape_keeps_each_activation_once(monkeypatch):
     assert max(len(outs) for outs in pools.values()) >= 4
     for outs in pools.values():
         assert all(o is outs[0] for o in outs) and not outs[0].flags.writeable
+
+    # released: each candidate output but Identity's (x), the pools' and none's
+    producer = {id(n.out): n for n in nodes}
+    for node in (n for n in nodes if n.op == "weighted_sum"):
+        for name, t in zip(OP_VOCAB, node.inputs[:-1]):
+            made_by = producer.get(id(t))
+            expect = name in ("sep_conv_3", "sep_conv_5", "dil_conv_3", "dil_conv_5") or (
+                name == "skip_connect" and made_by.op == "factorized_reduce")
+            assert _released(t) == expect, (name, made_by and made_by.op)
+    # and each SepConv inner output, the input of a unit fed by a depthwise unit
+    sep_inner = [n.inputs[0] for n in nodes if n.op == "relu_conv_norm"
+                 and len(getattr(producer.get(id(n.inputs[0])), "inputs", ())) == 5]
+    assert len(sep_inner) == 2 * 14 * 2  # two SepConvs per edge, 14 edges, 2 cells
+    assert all(_released(t) for t in sep_inner)
+    # so a norm node's output holds data only if it is a cell state
+    states = {id(n.inputs[0]) for n in nodes if n.op in ("max_pool1d", "avg_pool1d")}
+    for node in nodes:
+        if node.op in ("conv1d_norm", "relu_conv_norm", "factorized_reduce"):
+            state = node.op == "conv1d_norm" or id(node.out) in states  # the stem's, or pre0/1's
+            assert _released(node.out) != state, node.op
 
 
 def test_initial_weights_pinned():
