@@ -51,11 +51,17 @@ def using_dtype(dtype):
         set_default_dtype(prev)
 
 
+def _freed():
+    raise TapeError("value() of a tensor freed without a remake: no reader may follow")
+
+
 class Tensor:
     """Dense array plus an optional gradient buffer of identical shape.
 
-    A recorded tensor with a remake (see record) may be released once its
-    forward readers are done; a pullback that reads it calls value()."""
+    Once its forward readers are done, a recorded tensor with a remake (see
+    record) may be released, and a pullback that reads it calls value().  A
+    tensor that no pullback reads may be freed even without a remake; its
+    value() then raises TapeError rather than hand out the NaN stand-in."""
 
     __slots__ = ("data", "requires_grad", "grad", "name", "tape_id", "pools", "remake")
 
@@ -91,13 +97,20 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    def free(self):
+        """Swap data for a zero-byte read-only NaN stand-in of its shape and dtype;
+        value() then remakes it, or raises TapeError if there is no remake."""
+        self.remake = self.remake or _freed
+        self.data = np.broadcast_to(np.array(np.nan, self.data.dtype), self.data.shape)
+
     def release(self):
-        """Swap data, if there is a remake, for a zero-byte read-only NaN stand-in."""
+        """free() if there is a remake."""
         if self.remake is not None:
-            self.data = np.broadcast_to(np.array(np.nan, self.data.dtype), self.data.shape)
+            self.free()
 
     def value(self):
-        """data, remade if released (a released tensor's data is read-only)."""
+        """data, remade if released (a released tensor's data is read-only);
+        TapeError for a tensor freed without a remake."""
         return self.remake() if self.remake and not self.data.flags.writeable else self.data
 
     def zero_grad(self):

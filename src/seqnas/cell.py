@@ -262,7 +262,8 @@ class _Cell(Module):
         return 2 if self.reduction and frm in (0, 1) else 1
 
     def _run(self, s0, s1, edge_forward):
-        """Sum edge_forward(edge, state) over each node's inputs; concat n0..n3."""
+        """Sum edge_forward(edge, state) over each node's inputs; concat n0..n3.
+        Once read, each node sum's inputs, and n3, go to _read_by_sums."""
         if s0.shape[1] != self.c_pp:
             raise F.ShapeError(
                 f"cell: s0 has {s0.shape[1]} channels, preprocessing expects {self.c_pp}"
@@ -278,9 +279,20 @@ class _Cell(Module):
             acc = None
             for frm, edge in inputs:
                 contrib = edge_forward(edge, states[frm])
-                acc = contrib if acc is None else F.add(acc, contrib)
+                if acc is None:
+                    acc = contrib
+                else:
+                    total = F.add(acc, contrib)
+                    self._read_by_sums(acc, contrib)
+                    acc = total
             states.append(acc)
-        return F.concat(states[2:], axis=1)
+        out = F.concat(states[2:], axis=1)
+        self._read_by_sums(states[-1])
+        return out
+
+    def _read_by_sums(self, *tensors):
+        """Keep them: a discrete edge output may be a state (Identity's) or read
+        by its own pullback (a max pool's)."""
 
 
 class SearchCell(_Cell):
@@ -296,6 +308,12 @@ class SearchCell(_Cell):
 
     def forward(self, s0, s1, alpha):
         return self._run(s0, s1, lambda k, x: self.mixed[k].forward(x, F.take_row(alpha, k)))
+
+    def _read_by_sums(self, *tensors):
+        """Free them: an edge's weighted sum, a partial node sum or n3 is read by no
+        pullback (add's and concat's read nothing, weighted_sum's not its output)."""
+        for t in tensors:
+            t.free()
 
 
 class DiscreteCell(_Cell):

@@ -11,7 +11,7 @@ requires one, so its pullback never checks.
 
 The tape holds each activation once.  A pullback keeps only its inputs'
 data, its output's data (or views of them, or their zero-byte stand-ins
-once released) and per-channel vectors; the one exception is the
+once released or freed) and per-channel vectors; the one exception is the
 normalised input xhat of the norm nodes.  A conv feeding a norm is one node
 that normalises the conv output in place, since neither pullback reads it,
 so xhat is kept instead of beside it: conv1d_norm; relu_conv_norm for
@@ -21,9 +21,14 @@ relu(x), and relu_conv_norm its depthwise output, from x's values only
 when a weight gradient reads them.  Their recorded output carries a remake
 from xhat, so a caller may release it (Tensor.release) if only these three
 and weighted_sum read it later: their pullbacks remake an input's values
-(Tensor.value) at most once each.  Convolutions and pools rebuild padded or
-unfolded inputs from x.data when they pull back, and _untap adds their
-gradients straight into a new unpadded array.  Activations are never
+(Tensor.value) at most once each.  mul's output carries a remake too, its
+own product, so the supernet releases each gated cell input once pre0 and
+pre1 have read it.  A tensor that no pullback reads may be freed outright
+(Tensor.free): no pullback reads add's inputs or concat's, nor
+weighted_sum's output, so a SearchCell frees each edge sum, each partial
+node sum and its last node once read.  Convolutions and pools rebuild
+padded or unfolded inputs from x.data when they pull back, and _untap adds
+their gradients straight into a new unpadded array.  Activations are never
 written in place, so the max (or avg) pools of one kernel and stride on one
 activation of the current tape share one read-only output buffer, while
 each call records its own node.  Convolutions and pools use "same-length"
@@ -77,7 +82,7 @@ def mul(a, b):
         return [_mul_grad(g, other, t) if t.requires_grad else None
                 for t, other in ((a, b), (b, a))]
 
-    return record("multiply", (a, b), out, backward_fn)
+    return record("multiply", (a, b), out, backward_fn, lambda: a.data * b.data)
 
 
 def scale(x, s):

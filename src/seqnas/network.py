@@ -201,6 +201,10 @@ class Supernet(_Backbone):
                 g0t, g1t = F.take(gvec, 0), F.take(gvec, 1)
                 self.last_gates.append((float(g0t.data), float(g1t.data)))
                 s0, s1 = F.mul(s0, g0t), F.mul(s1, g1t)
+                out = cell.forward(s0, s1, self.cell_alpha[i])
+                s0.release()  # only pre0 and pre1 read the gated inputs;
+                s1.release()  # their pullbacks remake them
+                return out
             return cell.forward(s0, s1, self.cell_alpha[i])
 
         return self._run(x, run_cell)

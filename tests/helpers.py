@@ -1,8 +1,32 @@
 """Shared oracles and gradient-check machinery for the test suite."""
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 from seqnas.autograd import backward, no_grad, parameter, reset_tape, using_dtype
+
+
+def blas_core():
+    """The kernel core that numpy's bundled OpenBLAS picked at load (e.g.
+    "SkylakeX"), or "unknown" if no bundled library exports
+    scipy_openblas_get_corename64_.  The pinned hashes hold for one core."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pin_context():
+    """What a pinned hash depends on besides the code: the BLAS core and numpy."""
+    return f"OpenBLAS core {blas_core()}, numpy {np.__version__}"
 
 
 def finite_difference_check(make_loss, params, rel_tol=1e-4, floor=1e-7, eps=1e-5):

@@ -890,6 +890,52 @@ def test_tensor_without_a_remake_is_never_released():
         assert t.remake is None and t.data is data and t.value() is data
 
 
+def test_freed_tensor_without_a_remake_owns_no_memory_and_refuses_value():
+    reset_tape()
+    a, b = (parameter(rng.standard_normal((2, 3, 5)).astype(np.float32)) for _ in range(2))
+    out = F.add(a, b)
+    shape, dtype = out.shape, out.dtype
+    out.free()
+    assert out.shape == shape and out.dtype == dtype
+    assert _base(out.data).nbytes <= out.data.itemsize
+    assert np.isnan(out.data).all() and not out.data.flags.writeable
+    with pytest.raises(ValueError):
+        out.data[0, 0, 0] = 1.0
+    with pytest.raises(TapeError):
+        out.value()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gradients_through_a_freed_sum_are_bitwise_the_kept(dtype):
+    """add reads neither its inputs nor its output to pull back, so the sums of a
+    chain may be freed once the next add has read them."""
+    arrays = [rng.standard_normal((2, 3, 5)).astype(dtype) for _ in range(3)]
+
+    def run(free):
+        reset_tape()
+        a, b, c = (parameter(arr) for arr in arrays)
+        s = F.add(a, b)
+        t = F.add(s, c)
+        if free:
+            s.free()
+        backward(F.sum_all(F.mul(t, t)))
+        return [p.grad.tobytes() for p in (a, b, c)]
+
+    assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_released_product_remakes_its_forward_bytes(dtype):
+    reset_tape()
+    s = parameter(rng.standard_normal((2, 3, 5)).astype(dtype))
+    g = F.take(parameter(np.array([0.3, 1.7], dtype)), 1)
+    out = F.mul(s, g)
+    forward = out.data
+    out.release()
+    assert _base(out.data).nbytes <= out.data.itemsize
+    assert out.value().tobytes() == forward.tobytes()
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_pullbacks_that_read_a_released_input_are_bitwise_the_unreleased(dtype):
     """The readers a release reaches: relu_conv_norm (tap rebuild, relu mask),

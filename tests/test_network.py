@@ -348,6 +348,14 @@ def _released(t):
             and not any(t.data.strides) and np.isnan(t.data).all())
 
 
+def _holds_memory(t):
+    """t's data is, or views all of, an array that owns its bytes."""
+    a = t.data
+    while a.base is not None:
+        a = a.base
+    return a.nbytes >= t.data.nbytes > 0
+
+
 def test_tape_keeps_each_activation_once(monkeypatch):
     """After a grad-mode supernet forward, a pullback keeps nothing bigger than
     a per-channel vector beyond its node's input and output data (the normalised
@@ -357,7 +365,10 @@ def test_tape_keeps_each_activation_once(monkeypatch):
     Every MixedOp candidate output but Identity's, the pools' and none's is
     released, as is every SepConv inner output, so of the norm nodes' outputs
     only the cell states (the stem's and the preprocessed inputs) hold data,
-    beside the xhat each norm node keeps."""
+    beside the xhat each norm node keeps.  No pullback reads an edge's
+    weighted sum, a partial node sum, a cell's last node n3 or a gated cell
+    input, so none of them holds memory; the states n0-n2, the preprocessed
+    inputs s0 and s1 and the cell outputs still do."""
     fr_ops = []
     fr_forward = FactorizedReduce.forward
 
@@ -424,6 +435,38 @@ def test_tape_keeps_each_activation_once(monkeypatch):
         if node.op in ("conv1d_norm", "relu_conv_norm", "factorized_reduce"):
             state = node.op == "conv1d_norm" or id(node.out) in states  # the stem's, or pre0/1's
             assert _released(node.out) != state, node.op
+
+    # freed: each edge's weighted sum and each node sum but n0-n2; released:
+    # each gated cell input, which its readers pre0 and pre1 remake
+    concats = [n for n in nodes if n.op == "concat"]
+    kept_nodes = {id(t) for n in concats for t in n.inputs[:-1]}  # n0, n1, n2
+    sums = [n.out for n in nodes if n.op in ("weighted_sum", "add")
+            and id(n.out) not in kept_nodes]
+    assert len(sums) == 2 * (14 + 10 - 3)  # per cell: 14 edge sums, 10 adds, 3 kept
+    assert all(any(n.inputs[-1] is t for t in sums) for n in concats)  # each n3
+    gated = [n.out for n in nodes if n.op == "multiply"]
+    assert len(gated) == 2 * 2
+    assert not any(_holds_memory(t) for t in sums + gated)
+    assert all(np.isfinite(t.value()).all() for t in gated)
+    preprocessed = [n.out for n in nodes if id(n.out) in states
+                    and n.op in ("relu_conv_norm", "factorized_reduce")]
+    assert len(preprocessed) == 2 * 2
+    assert all(_holds_memory(t) for n in concats for t in (*n.inputs[:-1], n.out))
+    assert all(_holds_memory(t) for t in preprocessed)
+
+
+def test_discrete_max_pool_outputs_keep_their_memory():
+    """max_pool1d's pullback reads its own output, so a grad-mode DiscreteNetwork
+    forward must free no max pool output: only the supernet frees node sums."""
+    from test_pipeline import every_op_genotype
+
+    genotype = Genotype.from_json_dict(every_op_genotype())
+    net = DiscreteNetwork(genotype, small_config(), seed=4)
+    reset_tape()
+    net.forward(Tensor(rng.standard_normal((3, 2, 24)).astype(np.float32)))
+    pools = [n.out for n in tape().nodes if n.op == "max_pool1d"]
+    assert len(pools) >= 2
+    assert all(_holds_memory(t) and np.isfinite(t.data).all() for t in pools)
 
 
 def test_initial_weights_pinned():

@@ -6,13 +6,15 @@ input.  Any change to what the program computes or writes moves a hash;
 a change meant to keep the outputs (a refactor, a faster kernel) must
 leave every hash as it is.  A change meant to alter outputs re-pins only
 the hashes it moves and names each of them in CHANGES.md.  The hashes
-were captured with numpy 2.4 on x86-64.
+were captured with numpy 2.4.6 on x86-64, where OpenBLAS ran its SkylakeX
+(AVX-512) kernels; a failure names the core and numpy version it ran on.
 """
 
 import hashlib
 import json
 
 from seqnas.cli import main
+from helpers import pin_context
 
 DATA = ["--synthetic", "--synth-subjects", "4", "--synth-length", "192",
         "--window", "64", "--stride", "32"]
@@ -102,4 +104,4 @@ PINNED = {
 
 
 def test_micro_pipeline_outputs_pinned(tmp_path):
-    assert run_pipeline(tmp_path) == PINNED
+    assert run_pipeline(tmp_path) == PINNED, pin_context()

@@ -10,6 +10,7 @@ from seqnas.data import make_windows, synth_generate
 from seqnas.optim import NumericsError, OptimizerConfig
 from seqnas.search import TIERS, SearchRunConfig, run_search, search_split
 from seqnas.serialize import CheckpointError, encode_array, load_checkpoint, save_checkpoint
+from helpers import blas_core, pin_context
 
 
 def micro_dataset(num_subjects=4, seed=0):
@@ -424,4 +425,10 @@ def test_search_state_after_three_triple_steps_is_pinned():
         h.update(f"{name}:{arr.dtype.name}:{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == \
-        "0e2fa14fe5f1df92515563f2642c73f98ff6c419268242bdf681e4744cf51a94"
+        "0e2fa14fe5f1df92515563f2642c73f98ff6c419268242bdf681e4744cf51a94", pin_context()
+
+
+def test_pin_context_names_the_blas_core_and_numpy():
+    core = blas_core()
+    assert core and core.isprintable()
+    assert pin_context() == f"OpenBLAS core {core}, numpy {np.__version__}"
