@@ -104,7 +104,10 @@ class Tensor:
         self.data = np.broadcast_to(np.array(np.nan, self.data.dtype), self.data.shape)
 
     def release(self):
-        """free() if there is a remake."""
+        """free() if there is a remake.  A tensor without one keeps its data: in
+        the darts and alpha arch pass the frozen stem and cell 0's preprocessing
+        record nothing, so cell 0's candidate outputs carry no remake, yet
+        weighted_sum's alpha gradient reads them."""
         if self.remake is not None:
             self.free()
 

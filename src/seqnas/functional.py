@@ -1,40 +1,42 @@
 """Differentiable primitives over (batch, channel, time) arrays.
 
-Every primitive validates shapes up front (raising ShapeError with the
-primitive name and the offending dims), computes with numpy, and records a
-pullback closure on the active tape.  A pullback returns one entry per
-input, in input order: that input's gradient, or None.  It writes no
-.grad; Tape.backward adds the entries into the inputs that require one.
-A multi-input pullback skips the work for an input that requires no
-gradient; a single-input primitive records a node only when its input
-requires one, so its pullback never checks.
+Every primitive takes Tensors (the networks wrap raw input once), validates
+shapes up front (raising ShapeError with the primitive name and the
+offending dims), computes with numpy, and records a pullback closure on the
+active tape.  A pullback returns one entry per input, in input order: that
+input's gradient, or None.  It writes no .grad; Tape.backward adds the
+entries into the inputs that require one.  A multi-input pullback skips the
+work for an input that requires no gradient; a single-input primitive
+records a node only when its input requires one, so its pullback never
+checks.
 
 The tape holds each activation once.  A pullback keeps only its inputs'
-data, its output's data (or views of them, or their zero-byte stand-ins
-once released or freed) and per-channel vectors; the one exception is the
+data, its output's data (or views of them, or their zero-byte stand-ins once
+released or freed) and per-channel vectors; the one exception is the
 normalised input xhat of the norm nodes.  A conv feeding a norm is one node
 that normalises the conv output in place, since neither pullback reads it,
-so xhat is kept instead of beside it: conv1d_norm; relu_conv_norm for
-relu -> (depthwise ->) conv -> norm; and factorized_reduce for relu -> two
-offset stride-2 pointwise convs -> concat -> norm.  The last two rebuild
-relu(x), and relu_conv_norm its depthwise output, from x's values only
-when a weight gradient reads them.  Their recorded output carries a remake
-from xhat, so a caller may release it (Tensor.release) if only these three
-and weighted_sum read it later: their pullbacks remake an input's values
-(Tensor.value) at most once each.  mul's output carries a remake too, its
-own product, so the supernet releases each gated cell input once pre0 and
-pre1 have read it.  A tensor that no pullback reads may be freed outright
-(Tensor.free): no pullback reads add's inputs or concat's, nor
-weighted_sum's output, so a SearchCell frees each edge sum, each partial
-node sum and its last node once read.  Convolutions and pools rebuild
-padded or unfolded inputs from x.data when they pull back, and _untap adds
-their gradients straight into a new unpadded array.  Activations are never
-written in place, so the max (or avg) pools of one kernel and stride on one
-activation of the current tape share one read-only output buffer, while
-each call records its own node.  Convolutions and pools use "same-length"
-semantics: symmetric zero padding of (k-1)/2 * dilation per side, so
-stride-1 ops preserve temporal length and stride-2 ops emit ceil(T/stride)
-samples.
+so xhat is kept instead of beside it: conv1d_norm; relu_conv_norm for relu
+-> (depthwise ->) conv -> norm; and factorized_reduce for relu -> two offset
+stride-2 pointwise convs -> concat -> norm.  Each builds only its conv
+output and conv pullback and shares one tail, _norm_node, for the norm, the
+relu mask and the record.  The last two rebuild relu(x), and relu_conv_norm
+its depthwise output, from x's values only when a weight gradient reads
+them.  Their recorded output carries a remake from xhat, so a caller may
+release it (Tensor.release) if only these three and weighted_sum read it
+later: their pullbacks remake an input's values (Tensor.value) at most once
+each.  mul's output carries a remake too, its own product, so the supernet
+releases each gated cell input once pre0 and pre1 have read it.  A tensor
+that no pullback reads may be freed outright (Tensor.free): no pullback
+reads add's inputs or concat's, nor weighted_sum's output, so a SearchCell
+frees each edge sum, each partial node sum and its last node once read.
+Convolutions and pools rebuild padded or unfolded inputs from x.data when
+they pull back, and _untap adds their gradients straight into a new unpadded
+array.  Activations are never written in place, so the max (or avg) pools of
+one kernel and stride on one activation of the current tape share one
+read-only output buffer, while each call records its own node.  Convolutions
+and pools use "same-length" semantics: symmetric zero padding of (k-1)/2 *
+dilation per side, so stride-1 ops preserve temporal length and stride-2 ops
+emit ceil(T/stride) samples.
 """
 
 import numpy as np
@@ -47,16 +49,11 @@ def _shape_check(cond, op, msg):
         raise ShapeError(f"{op}: {msg}")
 
 
-def _tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise and reduction primitives
 
 
 def add(a, b):
-    a, b = _tensor(a), _tensor(b)
     _shape_check(a.shape == b.shape, "add", f"shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
 
@@ -70,7 +67,6 @@ def _mul_grad(g, other, t):
 
 def mul(a, b):
     """Elementwise product; one operand may be a single-element scalar."""
-    a, b = _tensor(a), _tensor(b)
     _shape_check(
         a.shape == b.shape or a.size == 1 or b.size == 1,
         "multiply",
@@ -87,7 +83,6 @@ def mul(a, b):
 
 def scale(x, s):
     """Multiply by a python constant (no gradient for the constant)."""
-    x = _tensor(x)
     s = float(s)
     out = Tensor(x.data * s)
 
@@ -95,14 +90,12 @@ def scale(x, s):
 
 
 def sum_all(x):
-    x = _tensor(x)
     out = Tensor(np.sum(x.data).reshape(()))
 
     return record("sum", (x,), out, lambda g: (np.full_like(x.data, g.reshape(())),))
 
 
 def relu(x):
-    x = _tensor(x)
     out = Tensor(np.maximum(x.data, 0))
 
     return record("relu", (x,), out, lambda g: (g * (x.data > 0),))
@@ -110,7 +103,6 @@ def relu(x):
 
 def take(x, i):
     """Scalar-shaped view of entry i of a 1-D tensor."""
-    x = _tensor(x)
     _shape_check(x.ndim == 1, "take", f"expects 1-D input, got {x.shape}")
     _shape_check(0 <= i < x.size, "take", f"index {i} out of range {x.size}")
     out = Tensor(np.array(x.data[i]))
@@ -125,7 +117,6 @@ def take(x, i):
 
 def take_row(x, i):
     """Row i of a 2-D tensor."""
-    x = _tensor(x)
     _shape_check(x.ndim == 2, "take_row", f"expects 2-D input, got {x.shape}")
     _shape_check(0 <= i < x.shape[0], "take_row", f"row {i} out of range {x.shape[0]}")
     out = Tensor(x.data[i].copy())
@@ -140,8 +131,6 @@ def take_row(x, i):
 
 def weighted_sum(xs, w):
     """sum_i w[i] * xs[i] over same-shape tensors, differentiable in both."""
-    xs = [_tensor(x) for x in xs]
-    w = _tensor(w)
     _shape_check(w.ndim == 1, "weighted_sum", f"weights must be 1-D, got {w.shape}")
     _shape_check(
         len(xs) == w.size,
@@ -169,7 +158,6 @@ def weighted_sum(xs, w):
 
 def concat(xs, axis=1):
     """Concatenate along the channel axis."""
-    xs = [_tensor(x) for x in xs]
     _shape_check(len(xs) > 0, "concat", "needs at least one input")
     ref = list(xs[0].shape)
     for t in xs[1:]:
@@ -286,7 +274,6 @@ def _conv1d(op, x, w, stride, dilation):
 
 def conv1d(x, w, stride=1, dilation=1):
     """Dense 1-D convolution; x (B,C,T), w (C_out,C_in,k), no bias."""
-    x, w = _tensor(x), _tensor(w)
     y, backward_fn = _conv1d("conv1d", x.data, w, stride, dilation)
     return record("conv1d", (x, w), Tensor(y),
                   lambda g: backward_fn(g, x.data, x.requires_grad))
@@ -333,7 +320,6 @@ def _depthwise_conv1d(op, x, w, stride, dilation, relu=False):
 
 def depthwise_conv1d(x, w, stride=1, dilation=1):
     """Per-channel 1-D convolution; x (B,C,T), w (C,k)."""
-    x, w = _tensor(x), _tensor(w)
     y, taps, backward_fn = _depthwise_conv1d("depthwise_conv1d", x, w, stride, dilation)
     return record("depthwise_conv1d", (x, w), Tensor(y),
                   lambda g: backward_fn(g, taps(x.data) if w.requires_grad else None))
@@ -357,7 +343,6 @@ def _pool(op, x, kernel, stride, pool):
 
 
 def max_pool1d(x, kernel=3, stride=1):
-    x = _tensor(x)
     _shape_check(x.ndim == 3, "max_pool1d", f"input must be (B,C,T), got {x.shape}")
     T = x.shape[2]
     pad, t_out = _conv_geometry("max_pool1d", T, kernel, stride, 1)
@@ -384,7 +369,6 @@ def max_pool1d(x, kernel=3, stride=1):
 
 def avg_pool1d(x, kernel=3, stride=1):
     """Average pooling that divides by the count of in-bounds taps only."""
-    x = _tensor(x)
     _shape_check(x.ndim == 3, "avg_pool1d", f"input must be (B,C,T), got {x.shape}")
     T = x.shape[2]
     pad, t_out = _conv_geometry("avg_pool1d", T, kernel, stride, 1)
@@ -418,7 +402,6 @@ def _unshift_time(g):
 
 def shift_time(x):
     """Drop the first time step and zero-pad the end (length preserved)."""
-    x = _tensor(x)
     _shape_check(x.ndim == 3, "shift_time", f"input must be (B,C,T), got {x.shape}")
 
     return record("shift_time", (x,), Tensor(_shift_time(x.data)),
@@ -492,53 +475,30 @@ def channel_norm(x, gamma, beta, running=None, training=True):
     pair of arrays: in training it is updated in place; outside training
     it is used as constants instead of the batch (final-network evaluation).
     """
-    x, gamma, beta = _tensor(x), _tensor(gamma), _tensor(beta)
     y, backward_fn, _ = _channel_norm("channel_norm", x.data, x.requires_grad,
                                       gamma, beta, running, training)
     return record("channel_norm", (x, gamma, beta), Tensor(y), backward_fn)
 
 
-def _conv_norm(op, x, w, gamma, beta, running, training, stride, dilation, dw, relu):
-    """channel_norm(conv1d(u, w), gamma, beta, running, training) as one node,
-    where u is x, or relu(x) if relu, then depthwise_conv1d(u, dw, stride,
-    dilation) if dw is given.  The pullback keeps only xhat (the conv output,
-    normalised in place); relu(x) and the depthwise output are rebuilt from
-    x's values, by the forward's own expressions, only for a weight gradient.
-    The output carries the norm's remake."""
-    x, w, gamma, beta = _tensor(x), _tensor(w), _tensor(gamma), _tensor(beta)
-    if dw is None:
-        inputs = (x, w, gamma, beta)
-        y, dense_backward = _conv1d(op, np.maximum(x.data, 0) if relu else x.data,
-                                    w, stride, dilation)
-
-        def conv_backward(dy, xd):  # (dx, gw)
-            u = np.maximum(xd, 0) if relu and w.requires_grad else xd
-            return dense_backward(dy, u, x.requires_grad)
-    else:
-        dw = _tensor(dw)
-        inputs = (x, dw, w, gamma, beta)
-        d, taps, dw_backward = _depthwise_conv1d(op, x, dw, stride, dilation, relu)
-        # a pointwise stride-1 conv reads nothing of its input for dx
-        _shape_check(w.ndim != 3 or w.shape[2] == 1, op,
-                     f"weight after a depthwise conv must be pointwise, got {w.shape}")
-        y, dense_backward = _conv1d(op, d, w, 1, 1)
-        del d
-
-        def conv_backward(dy, xd):  # (dx, gdw, gw)
-            t = taps(xd) if w.requires_grad or dw.requires_grad else None
-            du, gw = dense_backward(dy, _depthwise(t, dw.data) if w.requires_grad else None,
-                                    x.requires_grad or dw.requires_grad)
-            return (*dw_backward(du, t), gw)
-
+def _norm_node(op, inputs, y, conv_backward, running, training, relu):
+    """Record channel_norm(y, gamma, beta, running, training) of the conv output
+    y as one node op over inputs: x, the conv weights, gamma, beta.  y is
+    normalised in place, so the pullback keeps only xhat.  conv_backward(dy,
+    xd) maps the norm's dy and x's values xd to the conv inputs' gradients,
+    dx first, as a new array; dx then gets relu(x)'s mask if relu.  The output
+    carries the norm's remake."""
+    x, gamma, beta = inputs[0], inputs[-2], inputs[-1]
     out, norm_backward, remake = _channel_norm(
         op, y, any(t.requires_grad for t in inputs[:-2]), gamma, beta, running, training, out=y)
 
     def backward_fn(g):
-        dy, dgamma, dbeta = norm_backward(g)  # dy is None only if x, dw and w need none
-        xd = x.value() if dy is not None else None  # at most one remake
+        dy, dgamma, dbeta = norm_backward(g)  # dy is None only if no conv input needs one
+        if dy is None:
+            return (None,) * (len(inputs) - 2) + (dgamma, dbeta)
+        xd = x.value()  # at most one remake
         dx, *grads = conv_backward(dy, xd)
         if relu and dx is not None:
-            dx *= xd > 0  # dx is a new array
+            dx *= xd > 0
         return (dx, *grads, dgamma, dbeta)
 
     return record(op, inputs, Tensor(out), backward_fn, remake)
@@ -547,8 +507,10 @@ def _conv_norm(op, x, w, gamma, beta, running, training, stride, dilation, dw, r
 def conv1d_norm(x, w, gamma, beta, running=None, training=True, stride=1):
     """channel_norm(conv1d(x, w, stride), gamma, beta, running, training) as one
     node, which keeps xhat and no conv output."""
-    return _conv_norm("conv1d_norm", x, w, gamma, beta, running, training, stride, 1,
-                      None, False)
+    y, conv_backward = _conv1d("conv1d_norm", x.data, w, stride, 1)
+    return _norm_node("conv1d_norm", (x, w, gamma, beta), y,
+                      lambda dy, xd: conv_backward(dy, xd, x.requires_grad),
+                      running, training, relu=False)
 
 
 def relu_conv_norm(x, w, gamma, beta, running=None, training=True, stride=1, dilation=1,
@@ -556,49 +518,63 @@ def relu_conv_norm(x, w, gamma, beta, running=None, training=True, stride=1, dil
     """channel_norm(conv1d(relu(x), w, stride, dilation), ...) as one node, or
     with a (C,k) depthwise weight dw and a pointwise w, channel_norm(conv1d(
     depthwise_conv1d(relu(x), dw, stride, dilation), w), ...)."""
-    return _conv_norm("relu_conv_norm", x, w, gamma, beta, running, training, stride,
-                      dilation, dw, True)
+    op = "relu_conv_norm"
+    if dw is None:
+        y, dense_backward = _conv1d(op, np.maximum(x.data, 0), w, stride, dilation)
+
+        def conv_backward(dy, xd):  # (dx, gw)
+            u = np.maximum(xd, 0) if w.requires_grad else xd
+            return dense_backward(dy, u, x.requires_grad)
+
+        return _norm_node(op, (x, w, gamma, beta), y, conv_backward, running, training,
+                          relu=True)
+
+    d, taps, dw_backward = _depthwise_conv1d(op, x, dw, stride, dilation, relu=True)
+    # a pointwise stride-1 conv reads nothing of its input for dx
+    _shape_check(w.ndim != 3 or w.shape[2] == 1, op,
+                 f"weight after a depthwise conv must be pointwise, got {w.shape}")
+    y, dense_backward = _conv1d(op, d, w, 1, 1)
+    del d
+
+    def conv_backward(dy, xd):  # (dx, gdw, gw)
+        t = taps(xd) if w.requires_grad or dw.requires_grad else None
+        du, gw = dense_backward(dy, _depthwise(t, dw.data) if w.requires_grad else None,
+                                x.requires_grad or dw.requires_grad)
+        return (*dw_backward(du, t), gw)
+
+    return _norm_node(op, (x, dw, w, gamma, beta), y, conv_backward, running, training,
+                      relu=True)
 
 
 def factorized_reduce(x, w1, w2, gamma, beta, running=None, training=True):
     """channel_norm(concat([conv1d(u, w1, 2), conv1d(shift_time(u), w2, 2)]),
-    gamma, beta, running, training) with u = relu(x), as one node.  The
-    pullback keeps only xhat (the concatenated conv outputs, normalised in
-    place); relu(x) is rebuilt from x's values only for a weight gradient.
-    The output carries the norm's remake."""
+    gamma, beta, running, training) with u = relu(x), as one node, which keeps
+    xhat and no conv output."""
     op = "factorized_reduce"
-    x, w1, w2, gamma, beta = (_tensor(t) for t in (x, w1, w2, gamma, beta))
-    inputs = (x, w1, w2, gamma, beta)
     u = np.maximum(x.data, 0)
     a, back1 = _conv1d(op, u, w1, 2, 1)
     b, back2 = _conv1d(op, _shift_time(u), w2, 2, 1)
     half = a.shape[1]
     y = np.concatenate([a, b], axis=1)
     del u, a, b
-    out, norm_backward, remake = _channel_norm(
-        op, y, any(t.requires_grad for t in inputs[:3]), gamma, beta, running, training, out=y)
 
-    def backward_fn(g):
-        dy, dgamma, dbeta = norm_backward(g)  # dy is None only if x, w1 and w2 need none
-        dx = gw1 = gw2 = None
-        if dy is not None:
-            xd = x.value()  # at most one remake
-            u = np.maximum(xd, 0) if w1.requires_grad or w2.requires_grad else xd
-            du2, gw2 = back2(dy[:, half:], _shift_time(u) if w2.requires_grad else u,
-                             x.requires_grad)
-            du1, gw1 = back1(dy[:, :half], u, x.requires_grad)
-            if x.requires_grad:  # the chain's order: unshift, add, relu mask
-                dx = _unshift_time(du2)
-                dx += du1
-                dx *= xd > 0
-        return dx, gw1, gw2, dgamma, dbeta
+    def conv_backward(dy, xd):  # (dx, gw1, gw2)
+        u = np.maximum(xd, 0) if w1.requires_grad or w2.requires_grad else xd
+        du2, gw2 = back2(dy[:, half:], _shift_time(u) if w2.requires_grad else u,
+                         x.requires_grad)
+        du1, gw1 = back1(dy[:, :half], u, x.requires_grad)
+        dx = None
+        if x.requires_grad:  # the chain's order: unshift, add, then the relu mask
+            dx = _unshift_time(du2)
+            dx += du1
+        return dx, gw1, gw2
 
-    return record(op, inputs, Tensor(out), backward_fn, remake)
+    return _norm_node(op, (x, w1, w2, gamma, beta), y, conv_backward, running, training,
+                      relu=True)
 
 
 def global_avg_pool(x):
     """Mean over the time axis: (B,C,T) -> (B,C)."""
-    x = _tensor(x)
     _shape_check(x.ndim == 3, "global_avg_pool", f"input must be (B,C,T), got {x.shape}")
     T = x.shape[2]
     out = Tensor(x.data.mean(axis=2))
@@ -609,7 +585,6 @@ def global_avg_pool(x):
 
 def linear(x, w, b):
     """Affine map per batch row: (B,D) @ (K,D)^T + (K,)."""
-    x, w, b = _tensor(x), _tensor(w), _tensor(b)
     _shape_check(x.ndim == 2, "linear", f"input must be (B,D), got {x.shape}")
     _shape_check(w.ndim == 2, "linear", f"weight must be (K,D), got {w.shape}")
     _shape_check(
@@ -629,7 +604,6 @@ def linear(x, w, b):
 
 
 def softmax(x, axis=-1):
-    x = _tensor(x)
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -642,20 +616,19 @@ def softmax(x, axis=-1):
     return record("softmax", (x,), out, backward_fn)
 
 
-def log_softmax(x, axis=-1):
-    x = _tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    ls = z - lse
-    out = Tensor(ls)
+def _log_softmax(a, axis):
+    z = a - a.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
-    return record("log_softmax", (x,), out,
+
+def log_softmax(x, axis=-1):
+    ls = _log_softmax(x.data, axis)
+    return record("log_softmax", (x,), Tensor(ls),
                   lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
 
 
 def cross_entropy(logits, labels):
     """Mean negative log-likelihood of integer labels under the logits."""
-    logits = _tensor(logits)
     labels = np.asarray(labels)
     _shape_check(logits.ndim == 2, "cross_entropy", f"logits must be (B,K), got {logits.shape}")
     B, K = logits.shape
@@ -665,9 +638,7 @@ def cross_entropy(logits, labels):
         "cross_entropy",
         f"labels out of range for {K} classes",
     )
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    ls = z - lse
+    ls = _log_softmax(logits.data, 1)
     out = Tensor(np.array(-ls[np.arange(B), labels].mean()).reshape(()))
 
     def backward_fn(g):

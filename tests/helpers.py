@@ -5,6 +5,7 @@ import glob
 import os
 
 import numpy as np
+import pytest
 
 from seqnas.autograd import backward, no_grad, parameter, reset_tape, using_dtype
 
@@ -12,7 +13,7 @@ from seqnas.autograd import backward, no_grad, parameter, reset_tape, using_dtyp
 def blas_core():
     """The kernel core that numpy's bundled OpenBLAS picked at load (e.g.
     "SkylakeX"), or "unknown" if no bundled library exports
-    scipy_openblas_get_corename64_.  The pinned hashes hold for one core."""
+    scipy_openblas_get_corename64_.  A pinned hash holds for one core."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
@@ -27,6 +28,16 @@ def blas_core():
 def pin_context():
     """What a pinned hash depends on besides the code: the BLAS core and numpy."""
     return f"OpenBLAS core {blas_core()}, numpy {np.__version__}"
+
+
+def pinned(table):
+    """table[blas_core()], the pins for the kernels OpenBLAS runs here: "SkylakeX"
+    (AVX-512, also reported on Cooperlake) or "Haswell" (AVX2, also reported on
+    Zen; force it with OPENBLAS_CORETYPE=Haswell).  Fails on any other core."""
+    core = blas_core()
+    if core not in table:
+        pytest.fail(f"no pins for {pin_context()}")
+    return table[core]
 
 
 def finite_difference_check(make_loss, params, rel_tol=1e-4, floor=1e-7, eps=1e-5):

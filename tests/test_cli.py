@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqnas.cell import CellGenotype, Genotype
+from seqnas import search as S
 from seqnas.cli import main
 
 MICRO_DATA = ["--synthetic", "--synth-subjects", "4", "--synth-length", "192",
@@ -65,6 +66,29 @@ def _searched_genotype(tmp_path, seed=3):
     assert run_cli(["search", *MICRO_DATA, *MICRO_NET, "--tier", "relax",
                     "--epochs", "1", "--seed", seed, "--out", out]) == 0
     return out / "genotype.json"
+
+
+def test_non_finite_search_step_exits_4_with_abort_record(tmp_path, capsys, monkeypatch):
+    step = S.triple_step
+
+    def poisoned(net, *args):
+        net.stem_w.data[...] = np.nan
+        return step(net, *args)
+
+    monkeypatch.setattr(S, "triple_step", poisoned)
+    out = tmp_path / "nan"
+    assert run_cli(["search", *MICRO_DATA, *MICRO_NET, "--epochs", "1",
+                    "--out", out]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    abort = json.loads((out / "abort.json").read_text())
+    assert abort["epoch"] == 0 and abort["step"] == 0
+
+
+def test_eval_of_a_search_checkpoint_is_data_error(tmp_path, capsys):
+    search = _searched_genotype(tmp_path).parent
+    assert run_cli(["eval", *MICRO_DATA, "--weights", search / "checkpoints" / "last.json",
+                    "--out", tmp_path / "eval"]) == 3
+    assert "expected a 'train' checkpoint, found 'search'" in capsys.readouterr().err
 
 
 def test_train_epochs_zero_equals_initialization(tmp_path):

@@ -112,6 +112,20 @@ def test_triple_step_zero_lr_is_noop_on_all_parameters():
         assert np.array_equal(v, after[k]), k
 
 
+def test_nan_train_batch_raises_before_any_weight_moves():
+    # the val batch is clean, so alpha and beta pass Adam's gradient check and
+    # the weight pass's own loss check is what trips
+    net = tiny_net(seed=4)
+    state = make_triple_state(net, OptimizerConfig())
+    (xt, yt), val_b = tiny_batches(5)
+    xt[0, 1, 3] = np.nan
+    w_before = [p.data.copy() for p in net.weight_parameters()]
+    with pytest.raises(NumericsError, match=r"non-finite loss at step 0: train=nan val="):
+        triple_step(net, (xt, yt), val_b, state, lr_w=0.01)
+    assert all(np.array_equal(a, p.data) for a, p in zip(w_before, net.weight_parameters()))
+    assert state.step == 0
+
+
 def test_triple_step_updates_arch_before_weights_and_isolates_them():
     # w frozen (lr 0): arch moves, weights bit-identical
     net = tiny_net(seed=2)
