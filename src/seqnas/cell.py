@@ -140,9 +140,7 @@ class Genotype:
 
 def _softmax64(x):
     """Softmax over the last axis of a Tensor or array, in float64."""
-    x = np.asarray(x.data if hasattr(x, "data") else x, dtype=np.float64)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return F._softmax(np.asarray(x.data if hasattr(x, "data") else x, dtype=np.float64), -1)
 
 
 def gate_coefficients(beta, gate_scale=2.0):

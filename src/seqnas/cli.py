@@ -26,7 +26,7 @@ from .config import Config, ConfigError, declared, spec
 from .network import NetworkError, SupernetConfig, instantiate_discrete
 from .optim import NumericsError
 from .search import TIERS, SearchRunConfig, run_search, search_split
-from .serialize import CheckpointError, atomic_write
+from .serialize import CheckpointError, atomic_write, write_json
 from .train import TrainConfig, load_trained, save_trained, train_final
 
 
@@ -214,15 +214,10 @@ def write_manifest(out_dir, command, config, input_hashes, outputs, seed):
     }
     try:
         os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+        write_json(os.path.join(out_dir, "manifest.json"), manifest)
     except OSError as exc:
         raise D.DataError(f"cannot write run directory {out_dir}: {exc}") from exc
     return manifest
-
-
-def _write_json(path, doc):
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 def cmd_search(args):
@@ -304,7 +299,7 @@ def cmd_eval(args):
         seed,
     )
     scores, report = _evaluate(net, dataset, batch)
-    _write_json(os.path.join(out, "metrics.json"), report)
+    write_json(os.path.join(out, "metrics.json"), report)
     M.write_det_csv(scores, os.path.join(out, "det.csv"))
     print(f"eval done: EER={report['eer']:.4f} "
           f"FRR@FAR(1e-1,1e-2,1e-3)="
@@ -359,10 +354,10 @@ def cmd_ablate(args):
         save_trained(os.path.join(train_dir, "weights.json"),
                      net, genotype, tcfg, history)
         _, report = _evaluate(net, dataset, cfg["eval"].batch)
-        _write_json(os.path.join(tier_dir, "metrics.json"), report)
+        write_json(os.path.join(tier_dir, "metrics.json"), report)
         rows.append({"tier": tier, **report})
 
-    _write_json(os.path.join(out, "report.json"), {
+    write_json(os.path.join(out, "report.json"), {
         "rows": rows,
         "seed": seed,
         "split_hash": split_hash,

@@ -58,33 +58,18 @@ def _interpolate_short_gaps(values, bad, max_gap):
     record instead of being filled.
     """
     n = len(bad)
-    cuts = []
-    i = 0
-    while i < n:
-        if not bad[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and bad[j]:
-            j += 1
+    edges = np.flatnonzero(np.diff(bad, prepend=False, append=False)).tolist()
+    bounds = [0]  # segment k is bounds[2k:2k + 2]
+    for i, j in zip(edges[::2], edges[1::2]):  # the NaN run bad[i:j]
         if i == 0 or j == n or (j - i) > max_gap:
-            cuts.append((i, j))
+            bounds += (i, j)
         else:
-            for name, col in values.items():
+            steps = j - i + 1
+            for col in values.values():
                 left, right = col[i - 1], col[j]
-                steps = j - i + 1
-                for t in range(i, j):
-                    col[t] = left + (right - left) * (t - i + 1) / steps
-        i = j
-    segments = []
-    start = 0
-    for a, b in cuts:
-        if a > start:
-            segments.append((start, a))
-        start = b
-    if start < n:
-        segments.append((start, n))
-    return segments
+                col[i:j] = left + (right - left) * np.arange(1, steps) / steps
+    bounds.append(n)
+    return [(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if a < b]
 
 
 def ingest_csv(path, schema: CsvSchema = None):
@@ -117,7 +102,6 @@ def _ingest(fh, schema):
     idx = {c: header.index(c) for c in header}
 
     groups = {}
-    order = []
     try:
         for row in reader:
             if not row:
@@ -128,7 +112,6 @@ def _ingest(fh, schema):
             key = (subject, int(row[idx[c]]))
             if key not in groups:
                 groups[key] = {name: [] for name in channel_cols}
-                order.append(key)
             for c in channel_cols:
                 cell = row[idx[c]].strip()
                 groups[key][c].append(float(cell) if cell not in ("", "nan", "NaN") else np.nan)
@@ -139,7 +122,7 @@ def _ingest(fh, schema):
         raise DataError("empty file: no data rows")
 
     records = []
-    for key in sorted(order):
+    for key in sorted(groups):
         subject, session = key
         values = {c: np.asarray(groups[key][c], dtype=np.float64) for c in channel_cols}
         bad = np.zeros(len(next(iter(values.values()))), dtype=bool)

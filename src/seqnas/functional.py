@@ -107,12 +107,7 @@ def take(x, i):
     _shape_check(0 <= i < x.size, "take", f"index {i} out of range {x.size}")
     out = Tensor(np.array(x.data[i]))
 
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g.reshape(())
-        return (gx,)
-
-    return record("take", (x,), out, backward_fn)
+    return record("take", (x,), out, lambda g: (_put(x, i, g.reshape(())),))
 
 
 def take_row(x, i):
@@ -121,12 +116,26 @@ def take_row(x, i):
     _shape_check(0 <= i < x.shape[0], "take_row", f"row {i} out of range {x.shape[0]}")
     out = Tensor(x.data[i].copy())
 
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        return (gx,)
+    return record("take_row", (x,), out, lambda g: (_put(x, i, g),))
 
-    return record("take_row", (x,), out, backward_fn)
+
+def _put(x, i, g):
+    """The pullback of indexing x at i: zeros shaped like x, with g at i."""
+    gx = np.zeros_like(x.data)
+    gx[i] = g
+    return gx
+
+
+def _accumulate(terms):
+    """sum c * a over the (c, a) pairs of terms, added in order into a new
+    array through one scratch product."""
+    terms = iter(terms)
+    c, a = next(terms)
+    acc = c * a
+    prod = np.empty_like(acc)
+    for c, a in terms:
+        acc += np.multiply(c, a, out=prod)
+    return acc
 
 
 def weighted_sum(xs, w):
@@ -140,11 +149,7 @@ def weighted_sum(xs, w):
     base = xs[0].shape
     for t in xs[1:]:
         _shape_check(t.shape == base, "weighted_sum", f"{t.shape} vs {base}")
-    acc = w.data[0] * xs[0].data
-    prod = np.empty_like(acc)
-    for i in range(1, len(xs)):
-        acc += np.multiply(w.data[i], xs[i].data, out=prod)
-    out = Tensor(acc)
+    out = Tensor(_accumulate((w.data[i], t.data) for i, t in enumerate(xs)))
 
     def backward_fn(g):
         gw = None
@@ -282,11 +287,7 @@ def conv1d(x, w, stride=1, dilation=1):
 def _depthwise(taps, w):
     """The depthwise forward over the k tap views of the padded input and the
     (C,k) weight array w: sum_j w[:, j] * taps[j], in tap order."""
-    acc = w[None, :, 0, None] * taps[0]
-    prod = np.empty_like(acc)
-    for j in range(1, len(taps)):
-        acc += np.multiply(w[None, :, j, None], taps[j], out=prod)
-    return acc
+    return _accumulate((w[None, :, j, None], tap) for j, tap in enumerate(taps))
 
 
 def _depthwise_conv1d(op, x, w, stride, dilation, relu=False):
@@ -603,17 +604,15 @@ def linear(x, w, b):
     return record("linear", (x, w, b), out, backward_fn)
 
 
+def _softmax(a, axis):
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(x, axis=-1):
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def backward_fn(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return record("softmax", (x,), out, backward_fn)
+    y = _softmax(x.data, axis)
+    return record("softmax", (x,), Tensor(y),
+                  lambda g: (y * (g - np.sum(g * y, axis=axis, keepdims=True)),))
 
 
 def _log_softmax(a, axis):

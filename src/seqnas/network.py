@@ -129,6 +129,10 @@ class _Backbone(Module):
         pooled = F.global_avg_pool(s1)
         return F.linear(pooled, self.head_w, self.head_b), pooled
 
+    def forward(self, x, **kw):
+        """The logits of forward_with_embedding(x, **kw)."""
+        return self.forward_with_embedding(x, **kw)[0]
+
     def state_arrays(self):
         """All learnable tensors plus normalization buffers, by unique name."""
         out = {}
@@ -153,24 +157,18 @@ class Supernet(_Backbone):
             c_pp, c_p, c, reduction, reduction_prev, rng, dtype, tag=f"cell{i}"), rng, dtype)
 
         # architecture parameters live outside the module tree: the weight
-        # optimizer must never see them
-        n_ops = len(OP_VOCAB)
-
-        def fresh_alpha(name):
-            return parameter(
-                (rng.standard_normal((NUM_EDGES, n_ops)) * 1e-3).astype(dtype), name)
-
-        if config.independent_alpha:
-            self._alphas = [fresh_alpha(f"alpha.cell{i}") for i in range(config.num_cells)]
-            self.cell_alpha = list(self._alphas)
-        else:
-            shared = {}
-            self.cell_alpha = []
-            for kind in config.layout:
-                if kind not in shared:
-                    shared[kind] = fresh_alpha(f"alpha.{kind}")
-                self.cell_alpha.append(shared[kind])
-            self._alphas = [shared[k] for k in sorted(shared)]
+        # optimizer must never see them.  One alpha per cell, or (darts tier)
+        # one per cell kind, each drawn when the layout first reaches it
+        alphas = {}
+        self.cell_alpha = []
+        for i, kind in enumerate(config.layout):
+            key = f"cell{i}" if config.independent_alpha else kind
+            if key not in alphas:
+                alphas[key] = parameter((rng.standard_normal((NUM_EDGES, len(OP_VOCAB)))
+                                         * 1e-3).astype(dtype), f"alpha.{key}")
+            self.cell_alpha.append(alphas[key])
+        self._alphas = [alphas[k] for k in (alphas if config.independent_alpha
+                                            else sorted(alphas))]
 
         if config.use_gates:
             self._betas = [parameter(np.zeros(2, dtype=dtype), f"beta.cell{i}")
@@ -187,10 +185,6 @@ class Supernet(_Backbone):
 
     def weight_parameters(self):
         return self.parameters()
-
-    def forward(self, x):
-        logits, _ = self.forward_with_embedding(x)
-        return logits
 
     def forward_with_embedding(self, x):
         self.last_gates = []
@@ -254,10 +248,6 @@ class DiscreteNetwork(_Backbone):
         for m in self.walk():
             if isinstance(m, ChannelNorm):
                 m.track_running = True
-
-    def forward(self, x, edge_regularizer=None):
-        logits, _ = self.forward_with_embedding(x, edge_regularizer)
-        return logits
 
     def forward_with_embedding(self, x, edge_regularizer=None):
         def run_cell(i, cell, s0, s1):

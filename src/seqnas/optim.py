@@ -175,14 +175,13 @@ class TripleState:
 
 
 def make_triple_state(net, config: OptimizerConfig):
-    w_opt = SGD(net.weight_parameters(), config.momentum, config.weight_decay)
-    alpha_opt = Adam(net.arch_parameters(), config.arch_lr, config.arch_beta1,
-                     config.arch_beta2, config.arch_eps, config.arch_weight_decay)
+    def arch_adam(params):
+        return Adam(params, config.arch_lr, config.arch_beta1, config.arch_beta2,
+                    config.arch_eps, config.arch_weight_decay)
+
     betas = net.gate_parameters()
-    beta_opt = Adam(betas, config.arch_lr, config.arch_beta1, config.arch_beta2,
-                    config.arch_eps, config.arch_weight_decay) if betas else None
-    return TripleState(config=config, w_opt=w_opt, alpha_opt=alpha_opt,
-                       beta_opt=beta_opt)
+    return TripleState(config, SGD(net.weight_parameters(), config.momentum, config.weight_decay),
+                       arch_adam(net.arch_parameters()), arch_adam(betas) if betas else None)
 
 
 def _batch_loss(net, batch):

@@ -19,7 +19,7 @@ from .network import CellStackConfig, Supernet, SupernetConfig
 from .optim import (NumericsError, OptimizerConfig, cosine_lr,
                     make_triple_state, triple_step)
 from .serialize import (CheckpointError, RunLog, atomic_write, load_arrays,
-                        load_checkpoint, save_checkpoint)
+                        load_checkpoint, save_checkpoint, write_json)
 
 TIERS = ("darts", "alpha", "relax")
 LOG_COLUMNS = ("step", "epoch", "train_loss", "val_loss", "lr")
@@ -110,8 +110,7 @@ def run_search(config: SearchRunConfig, dataset, out_dir, resume_from=None):
 
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
-    with atomic_write(os.path.join(out_dir, "config.json")) as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+    write_json(os.path.join(out_dir, "config.json"), config.to_dict())
     log = RunLog(os.path.join(out_dir, "log.csv"), LOG_COLUMNS, first=state.step)
 
     net.train(True)

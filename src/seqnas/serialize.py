@@ -52,6 +52,12 @@ def atomic_write(path, newline=None):
         raise
 
 
+def write_json(path, doc):
+    """Write doc to path through atomic_write as indented JSON with sorted keys."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
 class RunLog:
     """Appendable CSV log whose first column is a monotone counter.
 

@@ -174,3 +174,36 @@ def frr_at_far_oracle(genuine, impostor, target):
             u = (far[i - 1] - target) / (far[i - 1] - far[i])
             return float(frr[i - 1] + u * (frr[i] - frr[i - 1]))
     raise AssertionError("target not reached")
+
+
+def interpolate_short_gaps_oracle(values, bad, max_gap):
+    """The per-sample loop that data._interpolate_short_gaps replaced: the same
+    fills, written one sample at a time, and the same segment bounds."""
+    n = len(bad)
+    cuts = []
+    i = 0
+    while i < n:
+        if not bad[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and bad[j]:
+            j += 1
+        if i == 0 or j == n or (j - i) > max_gap:
+            cuts.append((i, j))
+        else:
+            for name, col in values.items():
+                left, right = col[i - 1], col[j]
+                steps = j - i + 1
+                for t in range(i, j):
+                    col[t] = left + (right - left) * (t - i + 1) / steps
+        i = j
+    segments = []
+    start = 0
+    for a, b in cuts:
+        if a > start:
+            segments.append((start, a))
+        start = b
+    if start < n:
+        segments.append((start, n))
+    return segments

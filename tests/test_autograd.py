@@ -619,7 +619,8 @@ def test_conv1d_norm_is_bitwise_conv1d_then_channel_norm(case, mode, dtype):
     c = w_shape[0]
     arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
               1.0 + 0.1 * rng.standard_normal(c), 0.1 * rng.standard_normal(c)]
-    for frozen in ((), (0,), (1,), (2, 3)):  # nothing, x, w, then gamma and beta
+    # nothing, x, w, gamma and beta, then x and w, so that only the norm needs one
+    for frozen in ((), (0,), (1,), (2, 3), (0, 1)):
         fused, pair = (_conv_norm_bytes(fn, arrays, stride, mode, frozen, dtype)
                        for fn in (F.conv1d_norm, _conv_then_norm))
         assert fused == pair, frozen
@@ -667,8 +668,9 @@ def test_relu_conv_norm_is_bitwise_relu_depthwise_then_conv1d_norm(stride, dilat
     arrays = [rng.standard_normal((3, 4, 13)), rng.standard_normal((5, 4, 1)),
               1.0 + 0.1 * rng.standard_normal(5), 0.1 * rng.standard_normal(5),
               rng.standard_normal((4, k))]
-    # nothing, x, dw, w, gamma and beta, then both weights, as the arch pass does
-    for frozen in ((), (0,), (4,), (1,), (2, 3), (1, 4)):
+    # nothing, x, dw, w, gamma and beta, then both weights, as the arch pass does,
+    # then x and both weights
+    for frozen in ((), (0,), (4,), (1,), (2, 3), (1, 4), (0, 1, 4)):
         fused, chain = (_conv_norm_bytes(
             lambda x, w, g, b, dw, running, training, stride:
                 fn(x, w, g, b, dw, running, training, stride, dilation),
@@ -686,7 +688,7 @@ def test_relu_conv_norm_is_bitwise_relu_then_conv1d_norm(case, mode, dtype):
     c = w_shape[0]
     arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
               1.0 + 0.1 * rng.standard_normal(c), 0.1 * rng.standard_normal(c)]
-    for frozen in ((), (0,), (1,), (2, 3)):
+    for frozen in ((), (0,), (1,), (2, 3), (0, 1)):
         fused, chain = (_conv_norm_bytes(fn, arrays, stride, mode, frozen, dtype) for fn in (
             F.relu_conv_norm,
             lambda x, w, g, b, running, training, stride:
@@ -793,7 +795,8 @@ def test_factorized_reduce_is_bitwise_relu_convs_shift_concat_then_channel_norm(
     arrays = [rng.standard_normal((3, 4, T)), rng.standard_normal((3, 4, 1)),
               rng.standard_normal((2, 4, 1)), 1.0 + 0.1 * rng.standard_normal(5),
               0.1 * rng.standard_normal(5)]
-    for frozen in ((), (0,), (1,), (2,), (3, 4)):  # nothing, x, w1, w2, gamma and beta
+    # nothing, x, w1, w2, gamma and beta, then x and both weights
+    for frozen in ((), (0,), (1,), (2,), (3, 4), (0, 1, 2)):
         fused, chain = (_conv_norm_bytes(fn, arrays, 2, mode, frozen, dtype)
                         for fn in (_factorized_reduce, _factorized_reduce_chain))
         assert fused == chain, frozen

@@ -338,6 +338,15 @@ def test_unknown_config_key_is_data_error(tmp_path, capsys, doc, name):
     assert not (out / "manifest.json").exists()
 
 
+def test_config_file_whose_top_level_is_not_an_object_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps([{"search": {"epochs": 1}}]))
+    out = tmp_path / "search"
+    assert run_cli(["search", *MICRO_DATA, "--config", cfg, "--out", out]) == 3
+    assert "top level must be an object" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 BAD_CONFIGS = [
     # (command, flags, config file, key named, flag named)
     ("search", [], {"search": {"epochs": "2"}}, "search.epochs", None),
@@ -368,6 +377,7 @@ BAD_CONFIGS = [
     ("ablate", ["--seed", "-3"], {}, "search.seed", "--seed"),
     ("ablate", [], {"train": {"seed": 1.5}}, "train.seed", None),
     ("ablate", [], {"search": {"train_batch": None}}, "search.train_batch", None),
+    ("search", [], {"search": [1]}, "search", None),  # a section that is not an object
     # the two gate coefficients sum to gate_scale: a cut above half could prune both
     ("search", ["--gate-scale", "1", "--threshold", "0.6"], {}, "search.gate_threshold",
      "--threshold"),

@@ -2,9 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqnas.data import (CsvSchema, DataError, SequenceRecord, batches,
+from seqnas import data as D
+from seqnas.data import (MAX_NAN_GAP, CsvSchema, DataError, SequenceRecord, batches,
                          ingest_csv, make_windows, split_for_search, synth_generate)
+from helpers import interpolate_short_gaps_oracle
 
 rng = np.random.default_rng(41)
 
@@ -19,6 +22,11 @@ def ingest_text(tmp_path, text):
     return ingest_csv(path)
 
 
+def record_bytes(records):
+    return [(r.subject_id, r.session_id, {c: v.tobytes() for c, v in r.channels.items()})
+            for r in records]
+
+
 def test_ingest_groups_by_subject_and_session(tmp_path):
     rows = []
     for subj in ("a", "b"):
@@ -30,6 +38,9 @@ def test_ingest_groups_by_subject_and_session(tmp_path):
         ("a", 1), ("a", 2), ("b", 1), ("b", 2)}
     assert records[0].length == 5
     assert records[0].channel_names == ["ch0", "ch1"]
+    # blank rows are skipped
+    blank = ingest_text(tmp_path, csv_text(rows[:3] + ["", ""] + rows[3:12] + [""] + rows[12:]))
+    assert record_bytes(blank) == record_bytes(records)
 
 
 def test_single_nan_interpolates_to_neighbor_mean(tmp_path):
@@ -58,6 +69,48 @@ def test_short_nan_run_is_filled_not_split(tmp_path):
     assert len(records) == 1
     assert records[0].length == 70
     assert np.all(np.isfinite(records[0].channels["ch0"]))
+
+
+# (first, stop, cell text, channels) of each non-finite run in a 200-sample record
+# of subject "a", and how many records the gaps cut it into
+GAP_CASES = {
+    "at-both-ends": ([(0, 3, "nan", "01"), (197, 200, "", "01")], 1),
+    "exactly-max-gap": ([(40, 40 + MAX_NAN_GAP, "nan", "01")], 1),
+    "max-gap-plus-one": ([(40, 41 + MAX_NAN_GAP, "nan", "01")], 2),
+    "longer-runs": ([(20, 100, "NaN", "0"), (120, 190, "nan", "1")], 3),
+    "inf-cells": ([(10, 12, "inf", "0"), (30, 31, "-inf", "1"), (50, 53, "nan", "01")], 1),
+    "one-channel": ([(60, 70, "nan", "1")], 1),
+    "runs-one-apart": ([(10, 11, "nan", "0"), (12, 14, "nan", "1"),
+                        (15, 15 + MAX_NAN_GAP, "nan", "01")], 1),
+    "all-bad": ([(0, 200, "nan", "01")], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAP_CASES))
+def test_gap_fill_is_bytewise_the_loop_it_replaced(tmp_path, monkeypatch, case):
+    runs, n_cut = GAP_CASES[case]
+    cells = np.random.default_rng(9).standard_normal((200, 2)).astype(object)
+    for first, stop, text, channels in runs:
+        for k in channels:
+            cells[first:stop, int(k)] = text
+    rows = [f"a,1,{x},{y}" for x, y in cells.tolist()] + ["b,1,0.5,1.5"] * 3
+    records = ingest_text(tmp_path, csv_text(rows))
+    assert sum(r.subject_id == "a" for r in records) == n_cut
+    monkeypatch.setattr(D, "_interpolate_short_gaps", interpolate_short_gaps_oracle)
+    assert record_bytes(records) == record_bytes(ingest_text(tmp_path, csv_text(rows)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(runs=st.lists(st.tuples(st.booleans(), st.integers(1, MAX_NAN_GAP + 2)), max_size=10),
+       seed=st.integers(0, 2**16))
+def test_gap_fill_matches_the_loop_on_any_mask(runs, seed):
+    bad = np.array([b for b, length in runs for _ in range(length)], dtype=bool)
+    cols = np.random.default_rng(seed).standard_normal((2, bad.size))
+    cols[:, bad] = np.nan
+    got, want = ({f"ch{k}": col.copy() for k, col in enumerate(cols)} for _ in range(2))
+    assert D._interpolate_short_gaps(got, bad, MAX_NAN_GAP) == \
+        interpolate_short_gaps_oracle(want, bad, MAX_NAN_GAP)
+    assert all(got[c].tobytes() == want[c].tobytes() for c in got)
 
 
 def test_missing_column_and_empty_file_errors(tmp_path):

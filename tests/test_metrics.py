@@ -169,6 +169,9 @@ def test_protocol_warns_on_session_exclusive_subjects():
         s = score_protocol(emb1, np.array([0, 0, 1, 1]),
                            emb2, np.array([0, 0, 2, 2]))
     assert s.genuine.size == 2  # only subject 0 is shared
+    with pytest.warns(UserWarning, match="excluded"), \
+            pytest.raises(MetricError, match="no subject appears in both sessions"):
+        score_protocol(emb1, np.array([0, 0, 1, 1]), emb2, np.array([2, 2, 3, 3]))
 
 
 def _tiny_trained_net():

@@ -254,6 +254,8 @@ def test_discrete_vocab_and_count_mismatch_errors():
     bad = Genotype(cells=g.cells, vocab=tuple(reversed(OP_VOCAB)))
     with pytest.raises(NetworkError, match="vocabulary"):
         instantiate_discrete(bad, small_config())
+    with pytest.raises(NetworkError, match="cell kinds disagree"):
+        instantiate_discrete(g, small_config(layout=("reduction", "normal")))
 
 
 def test_all_skip_genotype_parameter_census():

@@ -5,7 +5,7 @@ from seqnas.autograd import Tensor, reset_tape
 from seqnas.cell import CellGenotype, Genotype
 from seqnas.data import DataError, make_windows, synth_generate
 from seqnas.network import SupernetConfig, instantiate_discrete
-from seqnas.optim import OptimizerConfig
+from seqnas.optim import NumericsError, OptimizerConfig
 from seqnas import train as T
 from seqnas.train import TrainConfig, drop_path, load_trained, save_trained, train_final
 
@@ -76,6 +76,15 @@ def test_class_count_mismatch_rejected(tmp_path):
     wrong = make_windows(synth_generate(6, sessions=2, length=320, seed=1), 64, 32)
     with pytest.raises(DataError, match="classes"):
         train_final(net, wrong, tcfg, str(tmp_path))
+
+
+def test_non_finite_training_loss_raises_before_any_weight_moves(tmp_path):
+    net, _, ds, tcfg = _tiny_setup()
+    net.head_b.data[0] = np.nan  # every logit row, so every loss, is NaN
+    before = {p.name: p.data.tobytes() for p in net.parameters()}
+    with pytest.raises(NumericsError, match="non-finite training loss at epoch 0"):
+        train_final(net, ds, tcfg, str(tmp_path))
+    assert {p.name: p.data.tobytes() for p in net.parameters()} == before
 
 
 def test_heavy_drop_path_degrades_training_accuracy(tmp_path):
